@@ -222,10 +222,10 @@ fn main() {
 
     // The headline comparison: a full lookahead-2 decision on a Scout job,
     // batched speculation engine vs. the naive refit-per-branch reference.
-    // The batched engine's remaining lever — work-stealing across
-    // `candidates × nodes` branches — needs more than one CPU to show up in
-    // wall-clock numbers; the JSON records the core count alongside the
-    // ratio so baselines from different machines are comparable.
+    // The batched engine's remaining lever — the pool fan-out of candidate
+    // expansions — needs more than one CPU to show up in wall-clock
+    // numbers; the JSON records the core count alongside the ratio so
+    // baselines from different machines are comparable.
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

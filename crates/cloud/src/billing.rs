@@ -14,10 +14,9 @@
 //! with the profiling step count — never with wall-clock time.
 
 use lynceus_math::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// The granularity at which usage is rounded up before being charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BillingGranularity {
     /// Bill exact seconds (EC2 Linux, per the paper's assumption).
     #[default]
@@ -70,7 +69,7 @@ pub fn cost_for(seconds: f64, price_per_hour: f64, granularity: BillingGranulari
 /// runs. Two series with the same seed and parameters are identical —
 /// the price a run pays depends only on its step index, which is what keeps
 /// price-shocked sessions exactly replayable after a checkpoint restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotPriceSeries {
     multipliers: Vec<f64>,
 }

@@ -1,7 +1,6 @@
 //! The VM catalog: every instance shape used by the paper's three datasets.
 
 use crate::vm::{VmFamily, VmSize, VmType};
-use serde::{Deserialize, Serialize};
 
 /// A catalog of VM shapes with name-based lookup.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// normalized w.r.t. the optimum) is scale free — but keeping realistic
 /// relative prices preserves the trade-offs between big-and-expensive and
 /// small-and-slow clusters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Catalog {
     vms: Vec<VmType>,
 }

@@ -2,14 +2,13 @@
 
 use crate::billing::{cost_for, BillingGranularity};
 use crate::vm::VmType;
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous cluster: `count` VMs of one [`VmType`].
 ///
 /// The paper's configurations always rent identical machines (plus one extra
 /// VM for the TensorFlow parameter server, which the dataset generator adds
 /// explicitly when computing prices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     vm: VmType,
     count: u32,

@@ -9,7 +9,6 @@
 //! step.
 
 use crate::cluster::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Analytic model of the cost of switching the deployed cluster.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// * a fixed warm-up of the framework.
 ///
 /// During all of that, the *new* cluster is already being billed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetupCostModel {
     /// Seconds to boot one VM (boots happen in parallel, so the boot phase
     /// lasts this long whenever at least one new VM is needed).

@@ -1,9 +1,7 @@
 //! Virtual-machine shapes.
 
-use serde::{Deserialize, Serialize};
-
 /// EC2-style instance families used across the paper's three datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmFamily {
     /// Burstable general purpose (`t2`), used by the TensorFlow dataset.
     T2,
@@ -41,7 +39,7 @@ impl std::fmt::Display for VmFamily {
 }
 
 /// Instance sizes used across the paper's datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VmSize {
     /// `small` (t2 only).
     Small,
@@ -80,7 +78,7 @@ impl std::fmt::Display for VmSize {
 /// The `relative_core_speed` and `network_gbps` fields feed the analytic job
 /// simulators (they are not visible to the optimizer, which only ever sees
 /// measured runtimes and prices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmType {
     /// Instance family.
     pub family: VmFamily,

@@ -1,13 +1,11 @@
 //! Profiling-budget bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 /// The monetary budget `B` available for profiling runs.
 ///
 /// Every run charges its cost against the budget (Algorithm 1's
 /// `β ← β − c`); the optimizer stops when no candidate configuration can be
 /// afforded any more.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     initial: f64,
     remaining: f64,

@@ -1,8 +1,8 @@
 //! A small std-only binary codec for session checkpoints.
 //!
-//! The build container has no registry access, so the workspace's `serde` is
-//! a vendored no-op stub — useless for durability. Checkpoints instead use
-//! this explicit little-endian wire format:
+//! The workspace has no serialization dependency: checkpoints and
+//! knowledge records use this explicit little-endian wire format, written
+//! and read by hand so every byte is pinned:
 //!
 //! * fixed-width integers are written little-endian (`u8`, `u32`, `u64`);
 //! * `usize` is widened to `u64` so 32- and 64-bit hosts produce the same

@@ -10,13 +10,12 @@
 use crate::acquisition::feasibility_probability;
 use lynceus_learners::{BaggingEnsemble, FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use lynceus_space::ConfigSpace;
-use serde::{Deserialize, Serialize};
 
 /// One additional constraint: "metric `metric_index` must be ≤ `threshold`".
 ///
 /// `metric_index` refers to the position of the metric in
 /// [`crate::Observation::metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecondaryConstraint {
     /// Index of the metric in the oracle's observations.
     pub metric_index: usize,

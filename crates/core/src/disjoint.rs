@@ -17,12 +17,11 @@
 
 use crate::oracle::CostOracle;
 use lynceus_space::ConfigId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Outcome of one ideal disjoint optimization (one reference cloud
 /// configuration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisjointOutcome {
     /// The configuration the disjoint procedure ends up selecting.
     pub selected: ConfigId,

@@ -44,19 +44,21 @@
 //!   to exhaustive expansion — which is what opens `LA ≥ 3`. Pruning is
 //!   automatically disabled for the (rare, early) decisions where the bound
 //!   argument does not hold — see [`PathEngine::BoundAndPrune`].
-//! * [`PathEngine::Batched`] — exhaustive expansion with every per-branch
-//!   optimization of the engine overhaul: each (real or speculated) state is
-//!   scored with **one** tree-major [`Surrogate::predict_rows`] pass over the
-//!   untested set into reusable buffers; speculated states are a
-//!   [`SpeculativeCursor`] push/pop overlay instead of full-state clones;
+//!
+//!   Every (real or speculated) state is scored with **one** tree-major
+//!   [`Surrogate::predict_rows`] pass over the untested set into reusable
+//!   buffers; speculated states are a [`SpeculativeCursor`] push/pop
+//!   overlay instead of full-state clones;
 //!   speculative surrogates are produced with
 //!   [`BaggingEnsemble::refit_with`], which extends the fitted ensemble by
 //!   one sample and rebuilds only the member trees whose bootstrap resample
 //!   draws it; the per-decision Gauss–Hermite rule is precomputed once; and
-//!   branch evaluations fan out over a work-stealing pool
-//!   ([`crate::pool`]) across `candidates × nodes` with index-ordered
-//!   reduction. Retained as the unpruned baseline the pruning speedup is
-//!   measured against.
+//!   candidate expansions fan out over the worker pool ([`crate::pool`])
+//!   with a Γ-ordered reduction.
+//! * [`PathEngine::Batched`] — the same expansion, every optimization
+//!   above included, with pruning switched off: every candidate's full
+//!   `k + k² + … + k^LA` subtree is expanded. Retained as the exhaustive
+//!   baseline the pruning speedup is measured against.
 //! * [`PathEngine::NaiveReference`] — the textbook transcription of
 //!   Algorithm 2: every branch clones the state, refits the full ensemble
 //!   from scratch and re-predicts configuration-by-configuration. It is kept
@@ -186,10 +188,11 @@ pub enum PathEngine {
     /// `LA ∈ {1, 2, 3}` across seeds, switching models and worker counts.
     #[default]
     BoundAndPrune,
-    /// Exhaustive expansion with batched predictions, fit caching, overlay
-    /// states and work-stealing parallelism. Retained as the unpruned
-    /// baseline of the pruning benchmarks; decisions are bit-identical to
-    /// [`PathEngine::BoundAndPrune`].
+    /// The [`PathEngine::BoundAndPrune`] expansion with pruning switched
+    /// off: every candidate is expanded exhaustively, with the same batched
+    /// predictions, fit caching, overlay states and pool fan-out. Retained
+    /// as the unpruned baseline of the pruning benchmarks; decisions are
+    /// bit-identical to [`PathEngine::BoundAndPrune`].
     Batched,
     /// Refit-from-scratch per branch, one prediction call per configuration,
     /// full state clones, sequential. Retained as the executable
@@ -209,9 +212,11 @@ pub const DEEP_CUT_LEVELS: usize = 6;
 /// over every decision of every run the optimizer instance has performed
 /// since construction or the last [`LynceusOptimizer::reset_prune_stats`]).
 ///
-/// Only decisions made by [`PathEngine::BoundAndPrune`] with `LA ≥ 1` are
-/// counted — the other engines never prune, and at `LA = 0` there is no
-/// subtree to skip.
+/// Decisions made by [`PathEngine::BoundAndPrune`] or
+/// [`PathEngine::Batched`] with `LA ≥ 1` are counted: both run the same
+/// expansion, and Batched counts its candidates with `pruned` and
+/// `deep_cuts` left at zero. [`PathEngine::NaiveReference`] counts nothing,
+/// and at `LA = 0` there is no subtree to skip.
 ///
 /// Snapshots are **decision-consistent**: [`LynceusOptimizer::prune_stats`]
 /// can never observe a half-updated or half-reset state (e.g.
@@ -651,146 +656,19 @@ impl LynceusOptimizer {
     }
 
     // =====================================================================
-    // Batched engine (exhaustive) and branch-and-bound engine
+    // Branch-and-bound engine (pruning off: the exhaustive Batched engine)
     // =====================================================================
 
-    /// `NextConfig` under the exhaustive batched engine. `model` is the
-    /// incrementally maintained root surrogate (bit-identical to a
-    /// from-scratch fit on the current training set); `scratch` is the
-    /// Driver-owned per-decision arena, reused across decisions.
-    fn next_config_batched(
-        &self,
-        driver: &Driver<'_>,
-        constraint_models: &ConstraintModels,
-        model: &BaggingEnsemble,
-        rule: &GaussHermiteRule,
-        z: f64,
-        scratch: &mut DecisionScratch,
-    ) -> Option<ConfigId> {
-        scratch.last_gamma = 0;
-        if !model.is_fitted() {
-            return driver.state.untested().first().copied();
-        }
-        let DecisionScratch {
-            base_ids,
-            block,
-            block_rows,
-            positions,
-            satisfaction,
-            satisfaction_scratch,
-            root,
-            root_memo,
-            root_mask,
-            gamma,
-            tasks,
-            spans,
-            nodes,
-            workers,
-            last_gamma,
-            ..
-        } = scratch;
-        let ctx = prepare_root(
-            self,
-            driver,
-            constraint_models,
-            model,
-            rule,
-            z,
-            RootBuffers {
-                base_ids,
-                block,
-                block_rows,
-                positions,
-                satisfaction,
-                satisfaction_scratch: &mut *satisfaction_scratch,
-                root: &mut *root,
-                root_memo: &mut *root_memo,
-                root_mask: &mut *root_mask,
-                gamma: &mut *gamma,
-            },
-        );
-        if gamma.is_empty() {
-            return None;
-        }
-        *last_gamma = gamma.len();
-
-        // Flatten the first level of every candidate's exploration tree into
-        // `candidates × nodes` branch tasks (buffers reserved to their
-        // Γ-independent upper bounds so a growing Γ never reallocates them).
-        tasks.clear();
-        tasks.reserve(ctx.base_ids.len() * rule.len());
-        spans.clear();
-        spans.reserve(ctx.base_ids.len());
-        if self.settings.lookahead > 0 {
-            for candidate in gamma.iter() {
-                let start = tasks.len();
-                rule.discretize_clamped_into(
-                    candidate.prediction.mean,
-                    candidate.prediction.std,
-                    MIN_STEP_COST,
-                    nodes,
-                );
-                let cap = driver.constraint_cost_cap(candidate.id);
-                tasks.extend(nodes.iter().map(|&node| BranchTask {
-                    x: candidate.id,
-                    node,
-                    speculated_feasible: node.value <= cap,
-                }));
-                spans.push(start..tasks.len());
-            }
-        } else {
-            spans.extend((0..gamma.len()).map(|_| 0..0));
-        }
-
-        // Evaluate every branch, stealing work across threads when allowed;
-        // results come back in task order either way, so the reduction below
-        // is schedule-independent.
-        let threads = if self.settings.parallel_paths && tasks.len() > 8 {
-            usize::MAX // capped at available parallelism by the pool
-        } else {
-            1
-        };
-        let depth_left = self.settings.lookahead.saturating_sub(1);
-        let base_len = ctx.base_ids.len();
-        let tasks = &*tasks;
-        let init = || WorkerLease::take(workers, base_len);
-        let branch_task = |lease: &mut WorkerLease<'_>, i: usize| {
-            ctx.evaluate_branch(model, &tasks[i], depth_left, lease.get())
-        };
-        let branch_results: Vec<Option<(f64, f64)>> = match &self.pool {
-            // A shared pool leases workers from the cross-session budget;
-            // the grant only changes scheduling, never results.
-            Some(shared) => shared.run_indexed_with(tasks.len(), threads, init, branch_task),
-            None => pool::run_indexed_with(tasks.len(), threads, init, branch_task),
-        };
-
-        // Deterministic reduction: per candidate, accumulate branch rewards
-        // and costs in Gauss–Hermite node order (the same accumulation order
-        // as the naive recursion).
-        gamma
-            .iter()
-            .zip(spans.iter().cloned())
-            .map(|(candidate, span)| {
-                let switch = self.switching.cost(driver.state.current(), candidate.id);
-                let mut reward = candidate.eic;
-                let mut cost = (candidate.prediction.mean + switch).max(MIN_STEP_COST);
-                for (task, result) in tasks[span.clone()].iter().zip(&branch_results[span]) {
-                    if let Some((r, c)) = result {
-                        cost += task.node.weight * c;
-                        reward += self.settings.discount * task.node.weight * r;
-                    }
-                }
-                (candidate.id, reward / cost.max(MIN_STEP_COST))
-            })
-            .max_by(|a, b| score_cmp(a.1, b.1))
-            .map(|(id, _)| id)
-    }
-
-    /// `NextConfig` under the branch-and-bound engine: identical root pass,
-    /// then best-first expansion of the candidates with incumbent pruning.
-    /// The selected configuration is bit-identical to
-    /// [`LynceusOptimizer::next_config_batched`]; only the amount of work
-    /// (and therefore wall-clock time) differs.
+    /// `NextConfig` under the overlay engines: one batched root pass, then
+    /// best-first expansion of the candidates with incumbent pruning.
+    /// [`PathEngine::Batched`] runs the same code with pruning off, so
+    /// every candidate is expanded exhaustively; under the bound's tail
+    /// premise (see [`PathEngine::BoundAndPrune`]) the selected
+    /// configuration is the same either way and only the amount of work
+    /// (and therefore wall-clock time) differs. `model` is the incrementally maintained
+    /// root surrogate (bit-identical to a from-scratch fit on the current
+    /// training set); `scratch` is the Driver-owned per-decision arena,
+    /// reused across decisions.
     #[allow(clippy::too_many_arguments)]
     fn next_config_pruned(
         &self,
@@ -852,8 +730,7 @@ impl LynceusOptimizer {
         let lookahead = self.settings.lookahead;
         if lookahead == 0 {
             // Myopic variant: the score is known in closed form, nothing to
-            // bound or expand (the arithmetic matches the batched engine's
-            // empty-span reduction).
+            // bound or expand.
             return gamma
                 .iter()
                 .map(|candidate| {
@@ -917,7 +794,7 @@ impl LynceusOptimizer {
 
         // ------------------------------------------------------------------
         // Expansion phase. Every candidate expands its first level exactly
-        // (that work is the `|Γ|·k` part the exhaustive engine pays too) and
+        // (that work is the `|Γ|·k` part exhaustive expansion pays too) and
         // assembles an upper bound on its full score from those exact
         // quantities plus a bounded tail; only the `k² + … + k^LA` deep
         // recursion is skipped when the bound cannot beat the incumbent.
@@ -937,12 +814,15 @@ impl LynceusOptimizer {
         // one instead of relearning the anchor per decision.
         let incumbent = AtomicU64::new(0);
         let observed_tail = AtomicU64::new(warm.tail_preload);
-        // Before the first feasible observation the incumbent fallback
-        // (`max cost + 3σ`) can grow along a speculated path, voiding the
-        // tail bound's premise; those (rare, early) decisions expand
-        // exhaustively. A warm session's prior run is feasibility evidence
-        // of the same strength, so its anchor arms the guard immediately.
-        let prunable = lookahead > 1
+        // Only the BoundAndPrune engine prunes; Batched expands every
+        // candidate. Before the first feasible observation the incumbent
+        // fallback (`max cost + 3σ`) can grow along a speculated path,
+        // voiding the tail bound's premise; those (rare, early) decisions
+        // expand exhaustively. A warm session's prior run is feasibility
+        // evidence of the same strength, so its anchor arms the guard
+        // immediately.
+        let prunable = self.engine == PathEngine::BoundAndPrune
+            && lookahead > 1
             && (warm.feasible_prior || driver.state.tested().iter().any(|t| t.feasible));
         let base_len = ctx.base_ids.len();
         let gamma = &*gamma;
@@ -1098,7 +978,7 @@ fn speculation_charge(switch: f64) -> f64 {
 /// pruning, enforced by the same bit-identity suites.
 struct DeepPrune<'a> {
     /// The decision's shared incumbent and tail-anchor cells; `None`
-    /// deactivates the probe (exhaustive engine, non-prunable decisions).
+    /// deactivates the probe (Batched engine, non-prunable decisions).
     shared: Option<(&'a AtomicU64, &'a AtomicU64)>,
     /// Drift allowance κ shared with the candidate-level bound.
     kappa: f64,
@@ -1114,7 +994,7 @@ struct DeepPrune<'a> {
 }
 
 impl<'a> DeepPrune<'a> {
-    /// A probe that accounts and checks nothing (exhaustive engine, or
+    /// A probe that accounts and checks nothing (Batched engine, or
     /// pruning disabled for this decision).
     fn inactive() -> Self {
         Self {
@@ -1206,15 +1086,7 @@ struct RootCandidate {
     eic: f64,
 }
 
-/// One first-level branch of a candidate's exploration tree: "speculate that
-/// profiling `x` costs `node.value`".
-struct BranchTask {
-    x: ConfigId,
-    node: WeightedValue,
-    speculated_feasible: bool,
-}
-
-/// Shared read-only context of one batched or branch-and-bound decision.
+/// Shared read-only context of one overlay-engine decision.
 struct BatchedCtx<'a> {
     driver: &'a Driver<'a>,
     constraint_models: &'a ConstraintModels,
@@ -1273,10 +1145,10 @@ struct RootBuffers<'ctx, 'tmp> {
     gamma: &'tmp mut Vec<RootCandidate>,
 }
 
-/// Shared setup of a batched or branch-and-bound decision: fixes the row
-/// universe, evaluates the root state with one batched pass, and extracts
-/// `Γ` with each member's prediction and EIc. Returns the decision context
-/// borrowing the now-filled buffers.
+/// Shared setup of an overlay-engine decision: fixes the row universe,
+/// evaluates the root state with one batched pass, and extracts `Γ` with
+/// each member's prediction and EIc. Returns the decision context borrowing
+/// the now-filled buffers.
 fn prepare_root<'a>(
     optimizer: &'a LynceusOptimizer,
     driver: &'a Driver<'a>,
@@ -1389,8 +1261,7 @@ struct BranchScratch {
     /// the speculation stack for every candidate of every re-filtered state.
     mask: Vec<bool>,
     /// First-level Gauss–Hermite nodes of the candidate under expansion
-    /// (branch-and-bound engine; deeper levels use their [`Scratch`]'s own
-    /// buffer).
+    /// (deeper levels use their [`Scratch`]'s own buffer).
     root_nodes: Vec<WeightedValue>,
     /// The branch surrogates built during phase A of
     /// [`BatchedCtx::expand_candidate`], reused verbatim by phase B.
@@ -1440,11 +1311,11 @@ impl Drop for WorkerLease<'_> {
     }
 }
 
-/// The Driver-owned per-decision arena of the batched and branch-and-bound
-/// engines. Every buffer is `clear()`ed and refilled per decision, so across
-/// the decisions of a run the engine performs a bounded number of heap
-/// allocations: capacities are established by the first (largest) decision
-/// and reused from then on (`tests` assert the signature stabilizes).
+/// The Driver-owned per-decision arena of the overlay engines. Every buffer
+/// is `clear()`ed and refilled per decision, so across the decisions of a
+/// run the engine performs a bounded number of heap allocations: capacities
+/// are established by the first (largest) decision and reused from then on
+/// (`tests` assert the signature stabilizes).
 #[derive(Default)]
 pub(crate) struct DecisionScratch {
     base_ids: Vec<ConfigId>,
@@ -1459,13 +1330,8 @@ pub(crate) struct DecisionScratch {
     root_memo: RowValueMemo,
     root_mask: Vec<bool>,
     gamma: Vec<RootCandidate>,
-    /// Batched engine: the flattened `candidates × nodes` task list and the
-    /// per-candidate spans into it.
-    tasks: Vec<BranchTask>,
-    spans: Vec<std::ops::Range<usize>>,
-    nodes: Vec<WeightedValue>,
-    /// Branch-and-bound engine: `(EIc, base position)` ranking, per-candidate
-    /// bounds, the continuation fold buffer and the dispatch order.
+    /// `(EIc, base position)` ranking, per-candidate bounds, the
+    /// continuation fold buffer and the dispatch order.
     ranked: Vec<(f64, u32)>,
     bounds: Vec<f64>,
     cont: Vec<f64>,
@@ -1516,9 +1382,6 @@ impl DecisionScratch {
             + self.root.nodes.capacity()
             + self.root_mask.capacity()
             + self.gamma.capacity()
-            + self.tasks.capacity()
-            + self.spans.capacity()
-            + self.nodes.capacity()
             + self.ranked.capacity()
             + self.bounds.capacity()
             + self.cont.capacity()
@@ -1673,7 +1536,7 @@ impl BatchedCtx<'_> {
     /// **Phase A** expands the candidate's first level exactly: every
     /// Gauss–Hermite branch gets its incremental surrogate, its batched
     /// state evaluation and its exact selected step — the same `|Γ|·k` work
-    /// the exhaustive engine performs, with the branch surrogates cached for
+    /// exhaustive expansion performs, with the branch surrogates cached for
     /// reuse. Those exact quantities yield an upper bound on the candidate's
     /// full score:
     ///
@@ -1694,10 +1557,13 @@ impl BatchedCtx<'_> {
     ///
     /// **Phase B** (only when the bound survives the incumbent) resumes
     /// each live branch from its cached surrogate and selected step
-    /// straight into the deep recursion — bit-identical arithmetic, in the
-    /// same order, as the exhaustive engine's task fan-out plus reduction —
-    /// and publishes the candidate's exact score and measured deep tail.
-    /// An armed [`DeepPrune`] probe rides the recursion: every selected
+    /// straight into the deep recursion — the naive recursion's arithmetic,
+    /// in the same order — and publishes the candidate's exact score and
+    /// measured deep tail. With `prunable` false (the Batched engine, and
+    /// decisions where the bound's premise does not hold) phase B always
+    /// runs and never cuts, which is exhaustive expansion.
+    ///
+    /// Otherwise an armed [`DeepPrune`] probe rides the recursion: every selected
     /// step folds its exact contributions into an accounted prefix and the
     /// in-search bound is re-tested between branches and at every level
     /// inside them, so the remaining subtree is abandoned
@@ -1774,7 +1640,7 @@ impl BatchedCtx<'_> {
                 );
                 let stored = selected.map(|(next, r1)| {
                     // The branch's exact first-step contributions, in the
-                    // exhaustive engine's accumulation order and expressions
+                    // naive recursion's accumulation order and expressions
                     // (`explore` returns `(r₁, c₁)` verbatim at the leaf).
                     // The switching charge is kept with the selection so
                     // phase B hands it to `explore` instead of querying the
@@ -1823,12 +1689,12 @@ impl BatchedCtx<'_> {
 
         // Phase B: deep expansion only — each live branch resumes from its
         // phase-A surrogate and selected step straight into the `explore`
-        // recursion, so the first level is never evaluated twice. The cursor
-        // rebuild and the `explore` call are the exhaustive engine's, so the
-        // accumulated reward and cost are bit-identical to its fan-out. An
-        // armed [`DeepPrune`] probe rides along: every selected step folds
-        // its exact contributions into the accounted prefix and re-tests
-        // the in-search bound, so a subtree is abandoned the moment the
+        // recursion, so the first level is never evaluated twice. Reward and
+        // cost accumulate in Gauss–Hermite node order, the naive recursion's
+        // order, so the score is bit-identical to it. An armed [`DeepPrune`]
+        // probe rides along: every selected step folds its exact
+        // contributions into the accounted prefix and re-tests the
+        // in-search bound, so a subtree is abandoned the moment the
         // candidate provably (under the shared tail premise) cannot beat
         // the incumbent — per-branch pruning inside the `k² + … + k^LA`
         // recursion, not just in front of it.
@@ -1927,95 +1793,6 @@ impl BatchedCtx<'_> {
         CandidateOutcome::Scored(score)
     }
 
-    /// Evaluates one first-level branch task: speculate `(x, cost)`, extend
-    /// the surrogate incrementally, pick the branch's next step and recurse
-    /// sequentially through the remaining lookahead.
-    fn evaluate_branch(
-        &self,
-        root_model: &BaggingEnsemble,
-        task: &BranchTask,
-        depth_left: usize,
-        scratch: &mut BranchScratch,
-    ) -> Option<(f64, f64)> {
-        let model = root_model.refit_with(&[(self.driver.features_of(task.x), task.node.value)]);
-        self.branch_outcome(
-            &model,
-            task,
-            depth_left,
-            &mut scratch.levels,
-            &mut scratch.memo,
-            &mut scratch.mask,
-        )
-    }
-
-    /// The body of a first-level branch evaluation, with the branch's
-    /// (incrementally refit) surrogate supplied by the caller — shared by
-    /// the exhaustive task fan-out (which refits on the spot) and the
-    /// branch-and-bound phase B (which reuses the surrogates cached during
-    /// phase A).
-    fn branch_outcome(
-        &self,
-        model: &BaggingEnsemble,
-        task: &BranchTask,
-        depth_left: usize,
-        levels: &mut Vec<Scratch>,
-        memo: &mut RowValueMemo,
-        mask: &mut [bool],
-    ) -> Option<(f64, f64)> {
-        let mut cursor = SpeculativeCursor::new(&self.driver.state);
-        let x_position = self.positions[task.x.index()] as usize;
-        cursor.push(task.x, task.node.value, task.speculated_feasible);
-        mask[x_position] = true;
-        // Mirror the reference engine (and the real driver): a speculated
-        // run charges its switching cost after its run cost — saturated
-        // against non-finite model outputs, identically at every engine's
-        // speculation site.
-        let switch = self.switching.cost(self.driver.state.current(), task.x);
-        let charge = speculation_charge(switch);
-        if charge > 0.0 {
-            cursor.charge_extra(charge);
-        }
-        if levels.len() < depth_left + 2 {
-            levels.resize_with(depth_left + 2, Scratch::default);
-        }
-        let (first, rest) = levels
-            .split_first_mut()
-            // lint: allow(no-panic) -- arena invariant: levels was resized to depth_left + 2 ≥ 2 entries just above
-            .expect("at least one scratch level");
-        let y_star = self.eval_state(&cursor, model, first, mask, memo);
-        let selected = self.select_next(
-            first,
-            mask,
-            cursor.current(),
-            y_star,
-            cursor.remaining_budget(),
-        );
-        // The exhaustive engine never cuts: an inactive probe makes every
-        // accounting and bound check a no-op (the scales are then unused).
-        let mut probe = DeepPrune::inactive();
-        let result = selected.map(|(next, eic)| {
-            let next_switch = self.switching.cost(cursor.current(), next.id);
-            self.explore(
-                &mut cursor,
-                model,
-                next,
-                eic,
-                next_switch,
-                depth_left,
-                first,
-                rest,
-                mask,
-                memo,
-                &mut probe,
-                1.0,
-                1.0,
-            )
-        });
-        // Unwind the membership mask so the worker's next task starts clean.
-        mask[x_position] = false;
-        result
-    }
-
     /// The overlay-based transcription of `ExplorePaths`: reward and cost of
     /// the path that continues by speculatively profiling `x` (whose
     /// prediction and EIc come from `level`, the already-evaluated scratch of
@@ -2028,12 +1805,12 @@ impl BatchedCtx<'_> {
     /// switching model twice per step).
     ///
     /// `probe` is the in-search pruning state of the enclosing candidate
-    /// (inactive on the exhaustive engine): every selected step accounts its
+    /// (inactive when pruning is off): every selected step accounts its
     /// exact contributions — scaled to candidate-total units by
     /// `reward_scale`/`cost_scale`, the products of `γ·w` and `w` along the
     /// prefix — and re-tests the bound. The accounting is a side channel:
-    /// the returned `(reward, cost)` are accumulated exactly as the
-    /// exhaustive engine does, so scores stay bit-identical; on a cut the
+    /// the returned `(reward, cost)` are accumulated exactly as with pruning
+    /// off, so scores stay bit-identical; on a cut the
     /// return value is meaningless and callers at every level unwind (each
     /// popping its own cursor frame and mask bit) without folding it in.
     #[allow(clippy::too_many_arguments)]
@@ -2224,7 +2001,7 @@ pub(crate) struct LynceusSession<'a> {
     /// Pending LHS bootstrap samples, consumed one per step.
     bootstrap_plan: VecDeque<Vec<usize>>,
     // Decision-loop caches: the Gauss–Hermite rule of the configured size,
-    // the budget-filter quantile, and (batched engine) the root surrogate
+    // the budget-filter quantile, and (overlay engines) the root surrogate
     // extended incrementally with each newly profiled sample (bit-identical
     // to refitting from scratch, see `BaggingEnsemble::refit_with`).
     rule: GaussHermiteRule,
@@ -2443,25 +2220,15 @@ impl<'a> LynceusSession<'a> {
                 // disjoint and moves only empty-capacity-preserving `Vec`
                 // headers.
                 let mut scratch = std::mem::take(&mut self.driver.decision_scratch);
-                let id = match optimizer.engine {
-                    PathEngine::BoundAndPrune => optimizer.next_config_pruned(
-                        &self.driver,
-                        &self.constraint_models,
-                        &self.model,
-                        &self.rule,
-                        self.z,
-                        &mut scratch,
-                        &mut self.warm,
-                    ),
-                    _ => optimizer.next_config_batched(
-                        &self.driver,
-                        &self.constraint_models,
-                        &self.model,
-                        &self.rule,
-                        self.z,
-                        &mut scratch,
-                    ),
-                };
+                let id = optimizer.next_config_pruned(
+                    &self.driver,
+                    &self.constraint_models,
+                    &self.model,
+                    &self.rule,
+                    self.z,
+                    &mut scratch,
+                    &mut self.warm,
+                );
                 let gamma_size = scratch.last_gamma;
                 self.driver.decision_scratch = scratch;
                 (id, gamma_size)
@@ -2919,6 +2686,19 @@ mod tests {
         assert_eq!(report, exhaustive);
         optimizer.reset_prune_stats();
         assert_eq!(optimizer.prune_stats(), PruneStats::default());
+    }
+
+    #[test]
+    fn batched_counts_candidates_but_never_prunes() {
+        // Batched is the branch-and-bound expansion with pruning off: its
+        // decisions are counted like BoundAndPrune's, with zero prunes.
+        let oracle = valley_oracle();
+        let optimizer =
+            LynceusOptimizer::new(settings(1_500.0, 2)).with_engine(PathEngine::Batched);
+        let _ = optimizer.optimize(&oracle, 3);
+        let stats = optimizer.prune_stats();
+        assert!(stats.decisions > 0 && stats.candidates > 0, "{stats:?}");
+        assert_eq!(stats.total_pruned(), 0, "{stats:?}");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use lynceus_learners::{BaggingEnsemble, FeatureMatrix, Surrogate};
 use lynceus_math::lhs::latin_hypercube_levels;
 use lynceus_math::rng::SeededRng;
 use lynceus_space::ConfigId;
-use serde::{Deserialize, Serialize};
 
 /// Settings shared by every optimizer.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// bootstrap of `max(3%·|C|, dims)` configurations and a 0.99 confidence
 /// level for the budget filter. The Gauss–Hermite rule size is not stated in
 /// the paper; 4 nodes keeps the lookahead tractable and is configurable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerSettings {
     /// Total profiling budget `B` in dollars.
     pub budget: f64,
@@ -126,7 +125,7 @@ impl OptimizerSettings {
 }
 
 /// Errors reported by the optimizers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptimizerError {
     /// A settings field is out of range.
     InvalidSetting(String),
@@ -220,7 +219,7 @@ impl std::fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {}
 
 /// One profiling run performed during an optimization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exploration {
     /// The configuration that was profiled.
     pub id: ConfigId,
@@ -231,7 +230,7 @@ pub struct Exploration {
 }
 
 /// The outcome of one optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationReport {
     /// Name of the optimizer that produced the report.
     pub optimizer: String,

@@ -2,11 +2,10 @@
 
 use crate::faults::OracleFault;
 use lynceus_space::{ConfigId, ConfigSpace};
-use serde::{Deserialize, Serialize};
 
 /// What the profiling harness observes after running the job once on a
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Wall-clock runtime of the job in seconds.
     pub runtime_seconds: f64,
@@ -97,7 +96,7 @@ pub trait CostOracle: Send + Sync {
 /// A simple in-memory oracle backed by a function of the feature vector,
 /// with a uniform price rate. Useful for tests, examples and synthetic
 /// problems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableOracle {
     space: ConfigSpace,
     price_rate: f64,

@@ -38,8 +38,12 @@ pub struct DecisionReceipt {
     /// Remaining budget `β` after the run (and any switching charge) was
     /// charged.
     pub budget_after: f64,
-    /// Branch-and-bound candidates examined by this decision (0 for
-    /// bootstrap runs and non-pruning engines).
+    /// Branch-and-bound candidates examined by this decision: `|Γ|` for a
+    /// [`crate::PathEngine::BoundAndPrune`] or
+    /// [`crate::PathEngine::Batched`] decision at `LA ≥ 1` (Batched is the
+    /// same expansion with pruning off, so its `pruned` and `deep_pruned`
+    /// stay 0); 0 for bootstrap runs, `LA = 0` decisions and the
+    /// [`crate::PathEngine::NaiveReference`] engine.
     pub candidates: u64,
     /// Candidates pruned at the candidate level by this decision.
     pub pruned: u64,

@@ -522,6 +522,10 @@ struct Slot {
     /// a lane; honored at the next decision boundary (the session finishes
     /// its in-flight step, then terminates instead of re-queueing).
     cancel_requested: bool,
+    /// True once the session is terminal. Stays set after a drain call
+    /// takes the outcome, when the slot holds neither a session nor an
+    /// outcome — the same shape as a session a lane has checked out.
+    finalized: bool,
     /// The terminal outcome, held until a drain call delivers it.
     outcome: Option<SessionOutcome>,
 }
@@ -625,6 +629,7 @@ impl Sched {
             receipts,
         };
         self.slots[index].outcome = Some(outcome);
+        self.slots[index].finalized = true;
         self.undelivered.push(index);
         self.live -= 1;
     }
@@ -816,14 +821,15 @@ impl TuningService {
     /// profiled so far, and the receipt trail. A session currently checked
     /// out by a lane finishes its in-flight profiling step first and is
     /// finalized at that decision boundary. Returns `true` when the cancel
-    /// took hold, `false` for unknown ids, already-terminal sessions, and
+    /// took hold, `false` for unknown ids, already-terminal sessions
+    /// (whether or not a drain call has taken their outcome yet), and
     /// repeat cancels of an in-flight session.
     pub fn cancel(&self, id: SessionId) -> bool {
         let mut state = self.lock_state();
         let Some(slot) = state.slots.get_mut(id.0) else {
             return false;
         };
-        if slot.outcome.is_some() || slot.cancel_requested {
+        if slot.finalized || slot.cancel_requested {
             return false;
         }
         match slot.session.take() {
@@ -1000,6 +1006,7 @@ impl TuningService {
                     checkpoint,
                     session: Some(session),
                     cancel_requested: false,
+                    finalized: false,
                     outcome: None,
                 });
                 state.ready.push(index);
@@ -1031,6 +1038,7 @@ impl TuningService {
                     checkpoint: None,
                     session: None,
                     cancel_requested: false,
+                    finalized: true,
                     outcome: Some(outcome),
                 });
                 state.undelivered.push(index);

@@ -3,10 +3,9 @@
 use crate::budget::Budget;
 use lynceus_learners::TrainingSet;
 use lynceus_space::{ConfigId, ConfigSpace};
-use serde::{Deserialize, Serialize};
 
 /// One profiled (or speculated) configuration in the training set `S`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestedConfig {
     /// Which configuration was run.
     pub id: ConfigId,
@@ -24,7 +23,7 @@ pub struct TestedConfig {
 /// speculative states built while simulating exploration paths; the only
 /// difference is whether [`SearchState::record`] is fed measured or
 /// Gauss–Hermite-speculated costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchState {
     tested: Vec<TestedConfig>,
     untested: Vec<ConfigId>,

@@ -2,11 +2,10 @@
 
 use lynceus_core::{CostOracle, Observation};
 use lynceus_space::{ConfigId, ConfigSpace};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The measured outcome of one configuration of a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigOutcome {
     /// Runtime in seconds (capped at the dataset's timeout when `timed_out`).
     pub runtime_seconds: f64,
@@ -25,7 +24,7 @@ pub struct ConfigOutcome {
 /// The type implements [`CostOracle`], so optimizers run against it exactly
 /// as they would run against a live cloud deployment — except that "running
 /// the job" is a table lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LookupDataset {
     name: String,
     space: ConfigSpace,

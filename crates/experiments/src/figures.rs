@@ -12,11 +12,10 @@ use crate::runner::{cno_sample, evaluate, run_many, ExperimentConfig, OptimizerK
 use lynceus_core::disjoint::disjoint_optimization_all_references;
 use lynceus_datasets::{tensorflow, LookupDataset};
 use lynceus_math::stats::{empirical_cdf, mean, percentile, std_dev};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One plotted series: a label and `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -25,7 +24,7 @@ pub struct Series {
 }
 
 /// The data behind one figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureData {
     /// Identifier (e.g. `"fig4-cnn"`).
     pub id: String,
@@ -40,7 +39,7 @@ pub struct FigureData {
 }
 
 /// The data behind one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Identifier (e.g. `"table3"`).
     pub id: String,

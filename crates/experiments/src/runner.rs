@@ -6,10 +6,9 @@ use lynceus_core::{
     RandomOptimizer,
 };
 use lynceus_datasets::LookupDataset;
-use serde::{Deserialize, Serialize};
 
 /// Which optimizer to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerKind {
     /// Lynceus with the given lookahead window (`LA = 0` is the cost-aware
     /// myopic variant of the paper's breakdown analysis).
@@ -37,7 +36,7 @@ impl OptimizerKind {
 }
 
 /// How an experiment is executed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of repetitions per (job, optimizer) pair. The paper uses ≥100;
     /// the default keeps the reproduction affordable and can be raised via
@@ -114,7 +113,7 @@ impl ExperimentConfig {
 }
 
 /// The metrics of one optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Cost normalized w.r.t. the optimum (`None` if the run found no
     /// feasible configuration).

@@ -25,7 +25,6 @@
 
 use crate::model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use crate::tree::RegressionTree;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Poisson(1) resample count of `sample` in tree `tree` of an ensemble
@@ -73,7 +72,7 @@ fn resample_count(seed: u64, tree: u64, sample: u64) -> usize {
 /// let p = model.predict(&[29.0]);
 /// assert!(p.std >= 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaggingEnsemble {
     n_estimators: usize,
     seed: u64,
@@ -662,15 +661,6 @@ impl Surrogate for BaggingEnsemble {
         self.fitted
     }
 
-    fn fresh_clone(&self) -> Box<dyn Surrogate> {
-        let mut clone = self.clone();
-        clone.trees.clear();
-        clone.resamples.clear();
-        clone.data = None;
-        clone.fitted = false;
-        Box::new(clone)
-    }
-
     fn predict_batch(&self, features: &FeatureMatrix) -> Vec<Prediction> {
         let rows: Vec<usize> = (0..features.rows()).collect();
         let mut out = Vec::new();
@@ -824,15 +814,6 @@ mod tests {
         let mut model = BaggingEnsemble::new(3);
         model.fit(&TrainingSet::new(2));
         assert!(!model.is_fitted());
-    }
-
-    #[test]
-    fn fresh_clone_preserves_hyperparameters_but_not_the_fit() {
-        let mut model = BaggingEnsemble::with_seed(6, 9).with_max_depth(5);
-        model.fit(&noisy_quadratic(25));
-        let clone = model.fresh_clone();
-        assert!(!clone.is_fitted());
-        assert!(model.is_fitted());
     }
 
     #[test]

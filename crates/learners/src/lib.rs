@@ -6,16 +6,13 @@
 //! and an uncertainty `σ(x)` for every untested configuration.
 //!
 //! The paper's implementation uses a **bagging ensemble of 10 random
-//! regression trees** (Weka); footnote 1 notes that Gaussian Processes are an
-//! equally valid choice. This crate provides both, behind the [`Surrogate`]
-//! trait:
+//! regression trees** (Weka), and so does this crate, behind the
+//! [`Surrogate`] trait:
 //!
 //! * [`RegressionTree`] — a CART-style regression tree with optional random
 //!   feature sub-sampling at each split;
 //! * [`BaggingEnsemble`] — bootstrap aggregation of randomized trees, the
-//!   paper's default surrogate;
-//! * [`GaussianProcess`] — exact GP regression with RBF or Matérn-5/2 kernels
-//!   over a small dense Cholesky solver ([`linalg`]).
+//!   paper's surrogate.
 //!
 //! # Example
 //!
@@ -38,12 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod bagging;
-pub mod gp;
-pub mod linalg;
 pub mod model;
 pub mod tree;
 
 pub use bagging::{BaggingEnsemble, RowValueMemo};
-pub use gp::{GaussianProcess, Kernel};
 pub use model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
 pub use tree::RegressionTree;

@@ -1,7 +1,5 @@
 //! The surrogate-model abstraction and its training data.
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled training set: one feature vector (the encoded configuration)
 /// and one target (the measured cost) per profiled configuration.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// surrogate extension — is two `memcpy`s instead of one heap allocation per
 /// observation, and row access during tree construction stays
 /// cache-friendly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSet {
     dims: usize,
     features: Vec<f64>,
@@ -180,7 +178,7 @@ impl TrainingSet {
 ///
 /// Rows are indexed positionally; the optimizer stores one row per
 /// configuration id so `row(id.index())` is the configuration's features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     dims: usize,
     data: Vec<f64>,
@@ -295,7 +293,7 @@ impl FeatureMatrix {
 }
 
 /// A Gaussian predictive distribution produced by a surrogate model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Predicted mean.
     pub mean: f64,
@@ -330,11 +328,6 @@ pub trait Surrogate: Send + Sync {
 
     /// True once `fit` has been called with at least one observation.
     fn is_fitted(&self) -> bool;
-
-    /// Creates an unfitted clone of this model (same hyper-parameters, no
-    /// training data). Used by the lookahead simulation, which must refit the
-    /// surrogate on speculated training sets without disturbing the real one.
-    fn fresh_clone(&self) -> Box<dyn Surrogate>;
 
     /// Predicts the target distribution at every row of a feature matrix.
     ///

@@ -9,10 +9,9 @@
 
 use crate::model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use lynceus_math::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// A node of the fitted tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     /// Internal split: go left when `features[feature] <= threshold`.
     Split {
@@ -185,7 +184,7 @@ impl FlatNodes {
 /// assert!(tree.predict(&[2.0]).mean < 10.0);
 /// assert!(tree.predict(&[14.0]).mean > 50.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     max_depth: usize,
     min_samples_leaf: usize,
@@ -696,14 +695,6 @@ impl Surrogate for RegressionTree {
         self.fitted
     }
 
-    fn fresh_clone(&self) -> Box<dyn Surrogate> {
-        let mut clone = self.clone();
-        clone.nodes.clear();
-        clone.flat = FlatNodes::default();
-        clone.fitted = false;
-        Box::new(clone)
-    }
-
     fn predict_rows(
         &self,
         features: &crate::model::FeatureMatrix,
@@ -810,14 +801,6 @@ mod tests {
         let low = tree.predict(&[2.0, -2.0, 4.0]).mean;
         let high = tree.predict(&[25.0, -25.0, 50.0]).mean;
         assert!(high > low);
-    }
-
-    #[test]
-    fn fresh_clone_is_unfitted_but_keeps_hyperparameters() {
-        let mut tree = RegressionTree::new().with_max_depth(4);
-        tree.fit(&step_data());
-        let clone = tree.fresh_clone();
-        assert!(!clone.is_fitted());
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! forking (one independent stream per run / per job) and the handful of
 //! sampling primitives the project needs live in one place.
 
-use serde::{Deserialize, Serialize};
-
 /// A small, fast, deterministic PRNG (xoshiro256**) with convenience sampling
 /// methods used across the workspace.
 ///
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let x = a.uniform(0.0, 10.0);
 /// assert!((0.0..10.0).contains(&x));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeededRng {
     state: [u64; 4],
 }

@@ -6,8 +6,6 @@
 //! the corresponding estimators so that every figure uses the same
 //! definitions.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of a sample. Returns 0 for an empty sample.
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -66,7 +64,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// One point of an empirical CDF: `fraction` of the sample is `<= value`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdfPoint {
     /// Sample value.
     pub value: f64,
@@ -106,7 +104,7 @@ pub fn cdf_at(values: &[f64], threshold: f64) -> f64 {
 }
 
 /// Summary statistics of a sample, in the shape the paper reports them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -20,10 +20,9 @@
 
 use crate::execution::Execution;
 use lynceus_cloud::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Resource profile of one batch-analytics job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticsJobProfile {
     /// Job name (e.g. `"terasort"`, `"kmeans"`).
     pub name: String,
@@ -94,7 +93,7 @@ impl AnalyticsJobProfile {
 
 /// The analytic runtime model: evaluates an [`AnalyticsJobProfile`] on a
 /// cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticsModel {
     profile: AnalyticsJobProfile,
 }

@@ -1,10 +1,8 @@
 //! Result of simulating one job run.
 
-use serde::{Deserialize, Serialize};
-
 /// The observable outcome of running a job on a cluster: what the paper's
 /// profiling harness would have measured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Execution {
     /// Wall-clock runtime in seconds (capped at the timeout when
     /// `timed_out`).

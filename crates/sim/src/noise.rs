@@ -9,11 +9,10 @@
 //! see a fixed — but realistically wobbly — cost surface.
 
 use lynceus_math::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative log-normal noise with a configurable coefficient of
 /// variation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Approximate coefficient of variation of the noise factor (e.g. `0.05`
     /// for ±5% typical deviation).

@@ -24,10 +24,9 @@
 
 use crate::execution::Execution;
 use lynceus_cloud::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// The three neural-network training jobs of the TensorFlow dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
     /// A small fully-connected network.
     Multilayer,
@@ -62,7 +61,7 @@ impl std::fmt::Display for NetworkKind {
 }
 
 /// Worker/parameter-server update mode (Table 1's `training mode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrainingMode {
     /// Workers update the model in synchronized rounds.
     Sync,
@@ -98,7 +97,7 @@ impl std::fmt::Display for TrainingMode {
 }
 
 /// The hyper-parameters of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfHyperParams {
     /// Learning rate (one of `1e-3`, `1e-4`, `1e-5` in the dataset grid).
     pub learning_rate: f64,
@@ -109,7 +108,7 @@ pub struct TfHyperParams {
 }
 
 /// Analytic performance model of one TensorFlow training job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TensorflowModel {
     kind: NetworkKind,
     /// Number of training samples per epoch (MNIST: 55 000).

@@ -1,16 +1,12 @@
 //! Configurations: points of the search grid.
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque identifier of a configuration within its [`ConfigSpace`].
 ///
 /// Ids enumerate the Cartesian grid in row-major order (the last declared
 /// dimension varies fastest), so `0..space.len()` covers the whole space.
 ///
 /// [`ConfigSpace`]: crate::ConfigSpace
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConfigId(pub usize);
 
 impl ConfigId {
@@ -40,7 +36,7 @@ impl From<usize> for ConfigId {
 /// feature vectors for the surrogate model.
 ///
 /// [`ConfigSpace`]: crate::ConfigSpace
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Config {
     levels: Vec<usize>,
 }

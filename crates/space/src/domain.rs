@@ -1,9 +1,7 @@
 //! Dimensions of a configuration space.
 
-use serde::{Deserialize, Serialize};
-
 /// The value taken by one dimension of a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A numeric level (e.g. number of VMs, batch size, learning rate).
     Number(f64),
@@ -64,7 +62,7 @@ impl From<String> for Value {
 /// Numeric domains carry their levels as `f64` (the surrogate model sees the
 /// actual value, so e.g. 8 vs. 112 workers are far apart); categorical domains
 /// carry labels and are encoded by level index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Domain {
     /// Discrete numeric levels, e.g. cluster sizes `{8, 16, 32, …}`.
     Numeric {

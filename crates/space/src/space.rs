@@ -2,10 +2,9 @@
 
 use crate::config::{Config, ConfigId};
 use crate::domain::{Domain, Value};
-use serde::{Deserialize, Serialize};
 
 /// Errors produced when building or querying a configuration space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceError {
     /// The space was built with no dimensions.
     Empty,
@@ -36,7 +35,7 @@ impl std::error::Error for SpaceError {}
 /// Scout grid, where `xlarge` clusters stop at 24 instances) restrict the grid
 /// with [`ConfigSpace::restrict`] and run the optimizer over the surviving
 /// ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigSpace {
     dimensions: Vec<Domain>,
     /// Row-major strides, same length as `dimensions`.

@@ -9,7 +9,7 @@
 //! | [`core`] | The optimizers: [`core::LynceusOptimizer`], [`core::BoOptimizer`], [`core::RandomOptimizer`], the [`core::CostOracle`] trait and the Section 4.4 extensions. |
 //! | [`datasets`] | The TensorFlow / Scout / CherryPick lookup datasets used by the paper's evaluation. |
 //! | [`experiments`] | The harness that reproduces every figure and table. |
-//! | [`learners`] | Surrogate models (bagging ensembles of regression trees, Gaussian processes). |
+//! | [`learners`] | Surrogate models (bagging ensembles of regression trees). |
 //! | [`space`] | Configuration-space abstraction. |
 //! | [`cloud`] | VM catalog, clusters, pricing, setup costs. |
 //! | [`sim`] | Analytic job-performance simulators. |
@@ -227,9 +227,9 @@
 //! * **Copy-on-write speculation** — [`core::SpeculativeCursor`] overlays
 //!   speculated observations on the real search state with push/pop
 //!   semantics instead of cloning the whole state per branch.
-//! * **Work-stealing branch evaluation** — `candidates × Gauss–Hermite
-//!   nodes` branch tasks run on [`core::pool`], with results reduced in
-//!   task order so runs are bit-identical to sequential execution.
+//! * **Pooled candidate expansion** — each `Γ` candidate's exploration
+//!   tree is expanded as one task on [`core::pool`], with results reduced
+//!   in `Γ` order so runs are bit-identical to sequential execution.
 //! * **Precomputed numerics** — the Gauss–Hermite rule is computed once per
 //!   decision ([`math::GaussHermiteRule`]), the budget filter compares
 //!   against a precomputed normal quantile instead of evaluating a cdf per
@@ -267,7 +267,8 @@
 //!   decisions taken before the first feasible observation (the fallback
 //!   incumbent can grow along a speculated path there), at `LA = 1` the
 //!   bound *is* the exact score, and every pruned run is pinned
-//!   bit-identical to the exhaustive engine by the `bound_and_prune`,
+//!   bit-identical to the exhaustive engine (`PathEngine::Batched`, the
+//!   same expansion with pruning switched off) by the `bound_and_prune`,
 //!   `engine_equivalence` and `pool_matrix` suites — across seeds,
 //!   lookaheads, switching models and worker counts. The committed
 //!   `BENCH_lookahead.json` (from the `fig6_lookahead` bench, which
@@ -358,7 +359,7 @@
 //! has to re-run the benches; on this container they are honest
 //! oversubscribed measurements and flagged as such — the work-stealing
 //! pool's near-linear cross-core scaling claim remains to be measured on
-//! real hardware, since branch evaluations are independent.
+//! real hardware, since candidate expansions are independent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
