@@ -10,23 +10,23 @@
 //! engine against the exhaustive [`PathEngine::Batched`] baseline and
 //! recording the pruned-candidate fractions. Reports are asserted
 //! bit-identical wherever the exhaustive baseline is run; on the largest
-//! sweep cell the exhaustive engine is intractable by construction and the
-//! pruned fraction is the recorded evidence.
+//! sweep cell the exhaustive engine is intractable by construction, so the
+//! cell publishes `"identical": null` and the pruned fraction is the
+//! recorded evidence.
 //!
-//! Results go to `BENCH_lookahead.json` at the workspace root (override
-//! with `LYNCEUS_BENCH_OUT`), alongside the CPU count so multicore
-//! re-measurement is a re-run away. The Figure 6 CNO CDFs this bench
-//! originally rendered are still available under `LYNCEUS_FIG6_FULL=1`.
+//! Results go to `BENCH_lookahead.json` in the artifact directory (see
+//! `lynceus_bench::artifact_dir`), alongside the CPU count so multicore
+//! re-measurement is a re-run away. The Figure 6 CNO CDFs are
+//! `repro fig6`.
 
-use lynceus_bench::{bench_config, bench_tensorflow_datasets};
+use lynceus_bench::{object, write_artifact};
 use lynceus_core::{
     CostOracle, LynceusOptimizer, OptimizationReport, Optimizer, OptimizerSettings, PathEngine,
     Pool, PruneStats, TableOracle,
 };
 use lynceus_datasets::scout;
-use lynceus_experiments::figures::fig6;
-use lynceus_experiments::report::render_figure;
 use lynceus_experiments::ExperimentConfig;
+use lynceus_serve::json::Value;
 use lynceus_space::SpaceBuilder;
 use std::time::Instant;
 
@@ -40,7 +40,9 @@ struct Cell {
     exhaustive_ns_per_decision: Option<f64>,
     speedup: Option<f64>,
     stats: PruneStats,
-    identical: bool,
+    /// `Some(true)` once the exhaustive report matched; `None` when the
+    /// exhaustive run was skipped and nothing was compared.
+    identical: Option<bool>,
 }
 
 /// The warm synthetic space: 16×8 grid with a wide cost spread (~5–600),
@@ -119,9 +121,9 @@ fn sweep_cell(
              LA={}, seed {seed}",
             settings.lookahead
         );
-        (Some(ns), true)
+        (Some(ns), Some(true))
     } else {
-        (None, true)
+        (None, None)
     };
     Cell {
         space,
@@ -137,18 +139,6 @@ fn sweep_cell(
 }
 
 fn main() {
-    // The original Figure 6 rendering (CNO CDFs for LA = 2/1/0) is heavy;
-    // keep it opt-in now that the default run is the lookahead sweep.
-    if std::env::var("LYNCEUS_FIG6_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        let datasets = bench_tensorflow_datasets();
-        for figure in fig6(&datasets, &bench_config()) {
-            println!("{}", render_figure(&figure));
-        }
-    }
-
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -279,63 +269,69 @@ fn main() {
         );
     }
 
-    // Persist (hand-rolled JSON: no serde in this environment).
-    let mut json = String::from("{\n  \"benchmark\": \"fig6_lookahead\",\n");
-    json.push_str(&format!("  \"cpus\": {cpus},\n  \"cells\": [\n"));
-    for (i, cell) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let exhaustive = cell
-            .exhaustive_ns_per_decision
-            .map_or("null".to_owned(), |ns| format!("{ns:.1}"));
-        let speedup = cell
-            .speedup
-            .map_or("null".to_owned(), |s| format!("{s:.2}"));
-        // Per-level pruning cells: `deep_cuts` is indexed by cut depth
-        // (entry 0 = cuts between first-level branches, entry 1 = between a
-        // branch's Gauss–Hermite nodes, …); `bench_check` validates the
-        // counters stay monotone (`pruned + deep_pruned ≤ candidates`,
-        // fractions within [0, 1], the level sum matching the total).
-        let deep_cuts: Vec<String> = cell.stats.deep_cuts.iter().map(|c| c.to_string()).collect();
-        json.push_str(&format!(
-            "    {{ \"space\": \"{}\", \"lookahead\": {}, \"seed\": {}, \"decisions\": {}, \"pruned_ns_per_decision\": {:.1}, \"exhaustive_ns_per_decision\": {exhaustive}, \"speedup\": {speedup}, \"candidates\": {}, \"pruned\": {}, \"pruned_fraction\": {:.3}, \"deep_pruned\": {}, \"deep_cuts\": [{}], \"cut_fraction\": {:.3}, \"identical\": {} }}{comma}\n",
-            cell.space,
-            cell.lookahead,
-            cell.seed,
-            cell.decisions,
-            cell.pruned_ns_per_decision,
-            cell.stats.candidates,
-            cell.stats.pruned,
-            cell.stats.pruned_fraction(),
-            cell.stats.deep_pruned(),
-            deep_cuts.join(", "),
-            cell.stats.cut_fraction(),
-            cell.identical,
-        ));
-    }
-    json.push_str("  ],\n");
-    // Timing-only multicore cells (no pruning counters on these lines: the
-    // counters belong to the sequential sweep above and `bench_check`'s
-    // counter validation keys on their presence).
-    json.push_str(&format!(
-        "  \"multicore_threads\": {MULTICORE_THREADS},\n  \"oversubscribed\": {oversubscribed},\n  \"multicore_cells\": [\n"
-    ));
-    for (i, cell) in multicore_cells.iter().enumerate() {
-        let comma = if i + 1 == multicore_cells.len() {
-            ""
-        } else {
-            ","
-        };
-        json.push_str(&format!(
-            "    {{ \"space\": \"{}\", \"lookahead\": {}, \"seed\": {}, \"pool_ns_per_decision\": {:.1}, \"identical\": {} }}{comma}\n",
-            cell.space, cell.lookahead, cell.seed, cell.pool_ns_per_decision, cell.identical,
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let destination = std::env::var("LYNCEUS_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_lookahead.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&destination, &json) {
-        Ok(()) => println!("wrote {destination}"),
-        Err(e) => eprintln!("could not write {destination}: {e}"),
-    }
+    // Per-level pruning cells: `deep_cuts` is indexed by cut depth (entry 0
+    // = cuts between first-level branches, entry 1 = between a branch's
+    // Gauss–Hermite nodes, …); `bench_check` validates that the counters
+    // stay monotone (`pruned + deep_pruned ≤ candidates`, fractions within
+    // [0, 1], the level sum matching the total).
+    let sweep = cells.iter().map(|cell| {
+        object([
+            ("space", Value::Str(cell.space.to_owned())),
+            ("lookahead", Value::from_usize(cell.lookahead)),
+            ("seed", Value::from_u64(cell.seed)),
+            ("decisions", Value::from_u64(cell.decisions)),
+            (
+                "pruned_ns_per_decision",
+                Value::from_f64(cell.pruned_ns_per_decision),
+            ),
+            (
+                "exhaustive_ns_per_decision",
+                cell.exhaustive_ns_per_decision
+                    .map_or(Value::Null, Value::from_f64),
+            ),
+            ("speedup", cell.speedup.map_or(Value::Null, Value::from_f64)),
+            ("candidates", Value::from_u64(cell.stats.candidates)),
+            ("pruned", Value::from_u64(cell.stats.pruned)),
+            (
+                "pruned_fraction",
+                Value::from_f64(cell.stats.pruned_fraction()),
+            ),
+            ("deep_pruned", Value::from_u64(cell.stats.deep_pruned())),
+            (
+                "deep_cuts",
+                Value::Arr(
+                    cell.stats
+                        .deep_cuts
+                        .iter()
+                        .map(|&c| Value::from_u64(c))
+                        .collect(),
+                ),
+            ),
+            ("cut_fraction", Value::from_f64(cell.stats.cut_fraction())),
+            ("identical", cell.identical.map_or(Value::Null, Value::Bool)),
+        ])
+    });
+    // Timing-only multicore cells: the pruning counters belong to the
+    // sequential sweep above.
+    let multicore = multicore_cells.iter().map(|cell| {
+        object([
+            ("space", Value::Str(cell.space.to_owned())),
+            ("lookahead", Value::from_usize(cell.lookahead)),
+            ("seed", Value::from_u64(cell.seed)),
+            (
+                "pool_ns_per_decision",
+                Value::from_f64(cell.pool_ns_per_decision),
+            ),
+            ("identical", Value::Bool(cell.identical)),
+        ])
+    });
+    let artifact = object([
+        ("benchmark", Value::Str("fig6_lookahead".to_owned())),
+        ("cpus", Value::from_usize(cpus)),
+        ("cells", Value::Arr(sweep.collect())),
+        ("multicore_threads", Value::from_usize(MULTICORE_THREADS)),
+        ("oversubscribed", Value::Bool(oversubscribed)),
+        ("multicore_cells", Value::Arr(multicore.collect())),
+    ]);
+    write_artifact("BENCH_lookahead.json", &artifact);
 }

@@ -24,17 +24,19 @@
 //! Before any cell is written, the whole chain is re-run on the exhaustive
 //! `Batched` engine and the per-run reports are asserted bit-identical —
 //! warm starts change where evidence comes from, never what gets decided.
-//! Writes `BENCH_recurring.json` at the workspace root (`LYNCEUS_BENCH_OUT`
-//! overrides); `bench_check` gates the cells via `recurring_violations`.
+//! Writes `BENCH_recurring.json` in the artifact directory (see
+//! `lynceus_bench::artifact_dir`); `bench_check` gates the cells via
+//! `recurring_violations`.
 
-use lynceus_bench::bench_scout_datasets;
+use lynceus_bench::{object, write_artifact};
 use lynceus_core::transfer::MemoryStore;
 use lynceus_core::{
     CostOracle, DecisionReceipt, JobKnowledge, KnowledgeStore, OptimizationReport,
     OptimizerSettings, PathEngine, SessionSpec, TuningService,
 };
-use lynceus_datasets::LookupDataset;
+use lynceus_datasets::{catalog, LookupDataset};
 use lynceus_experiments::ExperimentConfig;
+use lynceus_serve::json::Value;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -154,7 +156,7 @@ fn tighten_tmax(dataset: &mut LookupDataset) {
 }
 
 fn main() {
-    let mut dataset = bench_scout_datasets()
+    let mut dataset = catalog::scout_datasets()
         .into_iter()
         .next()
         .expect("the bench catalog always carries a Scout job");
@@ -184,7 +186,7 @@ fn main() {
     // Re-derive each run's free prior rows from the previous runs'
     // explorations (exactly what the knowledge layer replays).
     let mut prior_rows: Vec<(f64, f64)> = Vec::new();
-    let mut cell_lines = Vec::new();
+    let mut cell_values = Vec::new();
     let mut costs = Vec::new();
     let mut fractions = Vec::new();
     for (run, cell) in chain.iter().enumerate() {
@@ -203,15 +205,22 @@ fn main() {
             cell.report.num_explorations(),
             fraction * 100.0
         );
-        cell_lines.push(format!(
-            "    {{ \"run\": {run}, \"prior_observations\": {}, \"explorations\": {}, \
-             \"budget_spent\": {:.3}, \"cost_to_target\": {cost:.3}, \
-             \"first_decision_candidates\": {candidates}, \"first_decision_cut\": {cut}, \
-             \"first_decision_prune_fraction\": {fraction:.3} }}",
-            cell.prior_observations,
-            cell.report.num_explorations(),
-            cell.report.budget_spent,
-        ));
+        cell_values.push(object([
+            ("run", Value::from_usize(run)),
+            (
+                "prior_observations",
+                Value::from_usize(cell.prior_observations),
+            ),
+            (
+                "explorations",
+                Value::from_usize(cell.report.num_explorations()),
+            ),
+            ("budget_spent", Value::from_f64(cell.report.budget_spent)),
+            ("cost_to_target", Value::from_f64(cost)),
+            ("first_decision_candidates", Value::from_u64(candidates)),
+            ("first_decision_cut", Value::from_u64(cut)),
+            ("first_decision_prune_fraction", Value::from_f64(fraction)),
+        ]));
         costs.push(cost);
         fractions.push(fraction);
         prior_rows.extend(
@@ -236,23 +245,26 @@ fn main() {
         warm_fraction * 100.0
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"recurring\",\n  \"job\": \"{}\",\n  \"cpus\": {cpus},\n  \
-         \"runs_chained\": {RUNS_CHAINED},\n  \"lookahead\": {LOOKAHEAD},\n  \
-         \"target_cost\": {target:.3},\n  \"cells\": [\n{}\n  ],\n  \
-         \"cold_cost_to_target\": {cold_cost:.3},\n  \
-         \"final_cost_to_target\": {final_cost:.3},\n  \
-         \"cold_first_decision_prune_fraction\": {cold_fraction:.3},\n  \
-         \"warm_first_decision_prune_fraction\": {warm_fraction:.3},\n  \
-         \"chain_seconds\": {chain_seconds:.3},\n  \
-         \"chain_reports_identical\": {reports_identical}\n}}\n",
-        dataset.name(),
-        cell_lines.join(",\n"),
-    );
-    let destination = std::env::var("LYNCEUS_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_recurring.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&destination, &json) {
-        Ok(()) => println!("wrote {destination}"),
-        Err(e) => eprintln!("could not write {destination}: {e}"),
-    }
+    let artifact = object([
+        ("benchmark", Value::Str("recurring".to_owned())),
+        ("job", Value::Str(dataset.name().to_owned())),
+        ("cpus", Value::from_usize(cpus)),
+        ("runs_chained", Value::from_u64(RUNS_CHAINED)),
+        ("lookahead", Value::from_usize(LOOKAHEAD)),
+        ("target_cost", Value::from_f64(target)),
+        ("cells", Value::Arr(cell_values)),
+        ("cold_cost_to_target", Value::from_f64(cold_cost)),
+        ("final_cost_to_target", Value::from_f64(final_cost)),
+        (
+            "cold_first_decision_prune_fraction",
+            Value::from_f64(cold_fraction),
+        ),
+        (
+            "warm_first_decision_prune_fraction",
+            Value::from_f64(warm_fraction),
+        ),
+        ("chain_seconds", Value::from_f64(chain_seconds)),
+        ("chain_reports_identical", Value::Bool(reports_identical)),
+    ]);
+    write_artifact("BENCH_recurring.json", &artifact);
 }

@@ -6,10 +6,11 @@
 //! These are the operations whose cost multiplies inside the lookahead
 //! recursion (Table 3's decision times are built out of them). The harness is
 //! self-contained (`harness = false`; no registry access for criterion) and
-//! writes its measurements to `BENCH_baseline.json` at the workspace root so
-//! every PR has a perf trajectory; override the destination with
-//! `LYNCEUS_BENCH_OUT`.
+//! writes its measurements to `BENCH_baseline.json` in the artifact
+//! directory (see `lynceus_bench::artifact_dir`) so every change has a perf
+//! trajectory.
 
+use lynceus_bench::{object, write_artifact};
 use lynceus_core::acquisition::constrained_ei;
 use lynceus_core::{LynceusOptimizer, Optimizer, PathEngine, Pool};
 use lynceus_datasets::scout;
@@ -17,6 +18,7 @@ use lynceus_experiments::ExperimentConfig;
 use lynceus_learners::{BaggingEnsemble, FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use lynceus_math::quadrature::{gauss_hermite, GaussHermiteRule};
 use lynceus_math::rng::SeededRng;
+use lynceus_serve::json::Value;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -313,15 +315,6 @@ fn main() {
         }
     );
 
-    // Persist the baseline (hand-rolled JSON: no serde in this environment).
-    let mut json = String::from("{\n  \"benchmark\": \"micro_components\",\n  \"components\": {\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let comma = if i + 1 == measurements.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    \"{}\": {{ \"ns_per_iter\": {:.1}, \"iterations\": {} }}{comma}\n",
-            m.name, m.nanos_per_iteration, m.iterations
-        ));
-    }
     let component = |name: &str| {
         measurements
             .iter()
@@ -334,30 +327,80 @@ fn main() {
     let pointer_ns = component("bagging_predict_rows_pointer_256x5");
     let flat_ns = component("bagging_predict_rows_256x5");
     let flat_speedup = pointer_ns / flat_ns;
-    json.push_str("  },\n  \"component_speedups\": {\n");
-    json.push_str(&format!(
-        "    \"speculative_refit_vs_reference_fit\": {refit_speedup:.2},\n    \"memoized_batch_predict_vs_reference_predict\": {predict_speedup:.2},\n    \"flat_block_predict_vs_pointer_predict\": {flat_speedup:.2}\n"
-    ));
-    // One line: `bench_check`'s flat-cell validation scans line-wise.
-    json.push_str(&format!(
-        "  }},\n  \"flat_traversal\": {{ \"pointer_ns\": {pointer_ns:.1}, \"flat_ns\": {flat_ns:.1}, \"speedup\": {flat_speedup:.2}, \"identical\": {flat_identical} }},\n"
-    ));
-    json.push_str("  \"lookahead2_decision\": {\n");
-    json.push_str(&format!(
-        "    \"cpus\": {cpus},\n    \"naive_ns\": {naive_ns:.1},\n    \"batched_sequential_ns\": {batched_seq_ns:.1},\n    \"batched_ns\": {batched_ns:.1},\n    \"pruned_ns\": {pruned_ns:.1},\n    \"speedup_sequential\": {speedup_sequential:.2},\n    \"speedup\": {speedup:.2},\n    \"speedup_pruned\": {speedup_pruned:.2},\n    \"pruned_fraction\": {pruned_fraction:.3},\n    \"identical_recommendation\": true\n"
-    ));
-    json.push_str("  },\n  \"lookahead2_multicore\": {\n");
-    json.push_str(&format!(
-        "    \"cpus\": {cpus},\n    \"threads\": {MULTICORE_THREADS},\n    \"oversubscribed\": {oversubscribed},\n    \"batched_pool_ns\": {mc_batched_ns:.1},\n    \"pruned_pool_ns\": {mc_pruned_ns:.1},\n    \"speedup_batched_pool\": {:.2},\n    \"speedup_pruned_pool\": {:.2},\n    \"identical_recommendation\": true\n",
-        naive_ns / mc_batched_ns,
-        naive_ns / mc_pruned_ns
-    ));
-    json.push_str("  }\n}\n");
-
-    let destination = std::env::var("LYNCEUS_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_baseline.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&destination, &json) {
-        Ok(()) => println!("wrote {destination}"),
-        Err(e) => eprintln!("could not write {destination}: {e}"),
-    }
+    let artifact = object([
+        ("benchmark", Value::Str("micro_components".to_owned())),
+        (
+            "components",
+            object(measurements.iter().map(|m| {
+                (
+                    m.name,
+                    object([
+                        ("ns_per_iter", Value::from_f64(m.nanos_per_iteration)),
+                        ("iterations", Value::from_usize(m.iterations)),
+                    ]),
+                )
+            })),
+        ),
+        (
+            "component_speedups",
+            object([
+                (
+                    "speculative_refit_vs_reference_fit",
+                    Value::from_f64(refit_speedup),
+                ),
+                (
+                    "memoized_batch_predict_vs_reference_predict",
+                    Value::from_f64(predict_speedup),
+                ),
+                (
+                    "flat_block_predict_vs_pointer_predict",
+                    Value::from_f64(flat_speedup),
+                ),
+            ]),
+        ),
+        (
+            "flat_traversal",
+            object([
+                ("pointer_ns", Value::from_f64(pointer_ns)),
+                ("flat_ns", Value::from_f64(flat_ns)),
+                ("speedup", Value::from_f64(flat_speedup)),
+                ("identical", Value::Bool(flat_identical)),
+            ]),
+        ),
+        (
+            "lookahead2_decision",
+            object([
+                ("cpus", Value::from_usize(cpus)),
+                ("naive_ns", Value::from_f64(naive_ns)),
+                ("batched_sequential_ns", Value::from_f64(batched_seq_ns)),
+                ("batched_ns", Value::from_f64(batched_ns)),
+                ("pruned_ns", Value::from_f64(pruned_ns)),
+                ("speedup_sequential", Value::from_f64(speedup_sequential)),
+                ("speedup", Value::from_f64(speedup)),
+                ("speedup_pruned", Value::from_f64(speedup_pruned)),
+                ("pruned_fraction", Value::from_f64(pruned_fraction)),
+                ("identical_recommendation", Value::Bool(true)),
+            ]),
+        ),
+        (
+            "lookahead2_multicore",
+            object([
+                ("cpus", Value::from_usize(cpus)),
+                ("threads", Value::from_usize(MULTICORE_THREADS)),
+                ("oversubscribed", Value::Bool(oversubscribed)),
+                ("batched_pool_ns", Value::from_f64(mc_batched_ns)),
+                ("pruned_pool_ns", Value::from_f64(mc_pruned_ns)),
+                (
+                    "speedup_batched_pool",
+                    Value::from_f64(naive_ns / mc_batched_ns),
+                ),
+                (
+                    "speedup_pruned_pool",
+                    Value::from_f64(naive_ns / mc_pruned_ns),
+                ),
+                ("identical_recommendation", Value::Bool(true)),
+            ]),
+        ),
+    ]);
+    write_artifact("BENCH_baseline.json", &artifact);
 }

@@ -1,308 +1,230 @@
-//! CI gate over the committed benchmark artifacts: every `BENCH_*.json`
-//! the benches write self-asserts its equivalence invariants (pruned ≡
-//! exhaustive decisions, multiplexed ≡ solo reports, …) as boolean flags
-//! whose key contains `identical`. This binary scans those files and fails
-//! — with a per-file report — if any flag is `false`, or if a file carries
-//! no flag at all (a bench that stopped asserting would otherwise pass
-//! vacuously).
+//! CI gate over the benchmark artifacts. Every `BENCH_*.json` a bench
+//! writes self-asserts its invariants (pruned ≡ exhaustive decisions, flat
+//! ≡ pointer traversal, warm ≡ exhaustive chains) as boolean flags whose
+//! key contains `identical`. This binary parses each file with
+//! `lynceus_serve::json` and fails, with a per-file report, when:
 //!
-//! Usage: `cargo run -p lynceus-bench --bin bench_check [files…]` —
-//! defaults to every `BENCH_*.json` at the workspace root.
+//! * the file is not valid JSON;
+//! * an `identical` flag is `false` or not a boolean, or no flag is `true`
+//!   (a bench that stopped asserting would otherwise pass vacuously). A
+//!   `null` flag means the comparison was not run and asserts nothing;
+//! * a number is negative, or a value is one of the strings `"NaN"`,
+//!   `"Infinity"` and `"-Infinity"` that `Value::from_f64` writes for a
+//!   non-finite float. No artifact has a legitimately negative value;
+//! * a pruning cell, the flat-traversal cell or the recurring-job cells
+//!   are incoherent (see the rules below).
+//!
+//! Usage: `cargo run -p lynceus-bench --bin bench_check [files…]`. The
+//! default is every `BENCH_*.json` in the artifact directory: the
+//! workspace root, or `LYNCEUS_BENCH_OUT`.
 
+use lynceus_serve::json::{self, Value};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Every `"<key>": <bool>` pair in `json` whose key contains `identical`,
-/// in file order. A hand-rolled scan: the bench JSONs are flat hand-written
-/// documents and this environment has no serde.
-fn identical_flags(json: &str) -> Vec<(String, bool)> {
-    let mut flags = Vec::new();
-    let mut rest = json;
-    while let Some(open) = rest.find('"') {
-        let tail = &rest[open + 1..];
-        let Some(close) = tail.find('"') else { break };
-        let key = &tail[..close];
-        let after = &tail[close + 1..];
-        if key.contains("identical") {
-            let value = after.trim_start().strip_prefix(':').map(str::trim_start);
-            match value {
-                Some(v) if v.starts_with("true") => flags.push((key.to_owned(), true)),
-                Some(v) if v.starts_with("false") => flags.push((key.to_owned(), false)),
-                _ => {}
+/// Every value in `doc` with its path (`$.cells[2].pruned`), parents
+/// before children.
+fn nodes(doc: &Value) -> Vec<(String, &Value)> {
+    fn visit<'a>(path: String, value: &'a Value, out: &mut Vec<(String, &'a Value)>) {
+        out.push((path.clone(), value));
+        match value {
+            Value::Arr(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    visit(format!("{path}[{i}]"), item, out);
+                }
+            }
+            Value::Obj(fields) => {
+                for (key, item) in fields {
+                    visit(format!("{path}.{key}"), item, out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    visit("$".to_owned(), doc, &mut out);
+    out
+}
+
+/// The number under `key`, if `value` is an object that has one.
+fn num(value: &Value, key: &str) -> Option<f64> {
+    value.get(key)?.as_f64()
+}
+
+/// Every `identical` flag must be `true` or `null`, and at least one must
+/// be `true`.
+fn flag_violations(doc: &Value) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut asserted = 0usize;
+    for (path, value) in nodes(doc) {
+        let fields = value.as_obj().unwrap_or_default();
+        for (key, flag) in fields.iter().filter(|(key, _)| key.contains("identical")) {
+            match flag {
+                Value::Bool(true) => asserted += 1,
+                Value::Null => {}
+                Value::Bool(false) => violations.push(format!("{path}.{key} is false")),
+                other => violations.push(format!(
+                    "{path}.{key} is {}, not a boolean",
+                    other.to_json()
+                )),
             }
         }
-        rest = after;
     }
-    flags
+    if asserted == 0 {
+        violations.push("no `identical` flag is true: the bench asserts nothing".to_owned());
+    }
+    violations
 }
 
-/// Parses the number following `"key":` in `line`, if present.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses the `[a, b, …]` unsigned array following `"key":` in `line`.
-fn field_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = line[start..].trim_start().strip_prefix('[')?;
-    let close = rest.find(']')?;
-    rest[..close]
-        .split(',')
-        .map(|v| v.trim().parse::<u64>())
-        .collect::<Result<Vec<u64>, _>>()
-        .ok()
-}
-
-/// Validates the pruning counters of every sweep cell in `json` (one cell
-/// per line, as the lookahead bench writes them): candidate-level and
-/// per-level deep-cut counts must stay monotone — no cell may claim more
-/// pruned or cut candidates than it had, the per-level cuts must sum to
-/// the recorded total, and the fractions must be coherent. A bench bug
-/// (or a hand-edited artifact) that inflated the pruning story would
-/// otherwise sail through CI as a good-looking number.
-fn cell_violations(json: &str) -> Vec<String> {
+/// No number may be negative, and no value may be a non-finite float.
+fn number_violations(doc: &Value) -> Vec<String> {
     let mut violations = Vec::new();
-    for (number, line) in json.lines().enumerate() {
-        let (Some(candidates), Some(pruned)) =
-            (field_f64(line, "candidates"), field_f64(line, "pruned"))
+    for (path, value) in nodes(doc) {
+        match value {
+            Value::Num(raw) if value.as_f64().is_some_and(|v| v < 0.0) => {
+                violations.push(format!("{path} is negative ({raw})"));
+            }
+            Value::Str(s) if matches!(s.as_str(), "NaN" | "Infinity" | "-Infinity") => {
+                violations.push(format!("{path} is not a finite number ({s})"));
+            }
+            _ => {}
+        }
+    }
+    violations
+}
+
+/// Every object carrying `candidates` and `pruned` is a pruning cell. Its
+/// counters must stay monotone: no cell may claim more pruned or cut
+/// candidates than it had, the per-level cuts must sum to the recorded
+/// total, and the fractions must be coherent. A bench bug (or a
+/// hand-edited artifact) that inflated the pruning story would otherwise
+/// sail through CI as a good-looking number.
+fn pruning_violations(doc: &Value) -> Vec<String> {
+    let mut violations = Vec::new();
+    for (cell, value) in nodes(doc) {
+        let (Some(candidates), Some(pruned)) = (num(value, "candidates"), num(value, "pruned"))
         else {
             continue;
         };
-        let cell = format!("cell at line {}", number + 1);
         if pruned > candidates {
             violations.push(format!("{cell}: pruned {pruned} > candidates {candidates}"));
         }
-        if let Some(fraction) = field_f64(line, "pruned_fraction") {
-            if !(0.0..=1.0).contains(&fraction) {
-                violations.push(format!("{cell}: pruned_fraction {fraction} outside [0, 1]"));
-            }
+        let pruned_fraction = num(value, "pruned_fraction");
+        if let Some(fraction) = pruned_fraction.filter(|f| !(0.0..=1.0).contains(f)) {
+            violations.push(format!("{cell}: pruned_fraction {fraction} outside [0, 1]"));
         }
-        if let Some(decisions) = field_f64(line, "decisions") {
-            if candidates > 0.0 && decisions < 1.0 {
-                violations.push(format!("{cell}: {candidates} candidates but no decisions"));
-            }
+        if candidates > 0.0 && num(value, "decisions").is_some_and(|d| d < 1.0) {
+            violations.push(format!("{cell}: {candidates} candidates but no decisions"));
         }
-        let deep_pruned = field_f64(line, "deep_pruned");
-        if let Some(deep_pruned) = deep_pruned {
-            if pruned + deep_pruned > candidates {
+        let Some(deep_pruned) = num(value, "deep_pruned") else {
+            continue;
+        };
+        if pruned + deep_pruned > candidates {
+            violations.push(format!(
+                "{cell}: pruned {pruned} + deep_pruned {deep_pruned} > candidates {candidates}"
+            ));
+        }
+        let levels: Option<Vec<u64>> = value
+            .get("deep_cuts")
+            .and_then(Value::as_arr)
+            .and_then(|levels| levels.iter().map(Value::as_u64).collect());
+        match levels {
+            Some(levels) if levels.iter().sum::<u64>() as f64 == deep_pruned => {}
+            Some(levels) => violations.push(format!(
+                "{cell}: deep_cuts sum {} != deep_pruned {deep_pruned}",
+                levels.iter().sum::<u64>()
+            )),
+            None => violations.push(format!(
+                "{cell}: deep_pruned without a per-level deep_cuts breakdown"
+            )),
+        }
+        if let Some(cut_fraction) = num(value, "cut_fraction") {
+            if !(0.0..=1.0).contains(&cut_fraction) {
                 violations.push(format!(
-                    "{cell}: pruned {pruned} + deep_pruned {deep_pruned} > candidates {candidates}"
+                    "{cell}: cut_fraction {cut_fraction} outside [0, 1]"
                 ));
             }
-            if let Some(levels) = field_u64_array(line, "deep_cuts") {
-                let sum: u64 = levels.iter().sum();
-                if sum as f64 != deep_pruned {
-                    violations.push(format!(
-                        "{cell}: deep_cuts sum {sum} != deep_pruned {deep_pruned}"
-                    ));
-                }
-            } else {
+            // The combined fraction can never undercut the candidate-level
+            // one.
+            if let Some(pruned_fraction) = pruned_fraction.filter(|&f| cut_fraction < f) {
                 violations.push(format!(
-                    "{cell}: deep_pruned without per-level deep_cuts breakdown"
+                    "{cell}: cut_fraction {cut_fraction} < pruned_fraction {pruned_fraction}"
                 ));
-            }
-            if let (Some(pruned_fraction), Some(cut_fraction)) = (
-                field_f64(line, "pruned_fraction"),
-                field_f64(line, "cut_fraction"),
-            ) {
-                if !(0.0..=1.0).contains(&cut_fraction) {
-                    violations.push(format!(
-                        "{cell}: cut_fraction {cut_fraction} outside [0, 1]"
-                    ));
-                }
-                // The combined fraction can never undercut the
-                // candidate-level one (tolerate the 3-decimal rounding).
-                if cut_fraction + 1e-3 < pruned_fraction {
-                    violations.push(format!(
-                        "{cell}: cut_fraction {cut_fraction} < pruned_fraction {pruned_fraction}"
-                    ));
-                }
             }
         }
     }
     violations
 }
 
-/// Validates the flat-traversal cells of the component baseline: any line
-/// carrying a `flat_ns` measurement must also carry the pointer-walk
-/// baseline it was compared against, a `speedup` of at least 1.0 (the
-/// struct-of-arrays layout regressing below the pointer walk is exactly
-/// the regression this gate exists to catch), and a true `identical` flag
-/// (the bench bit-compares the two traversals before writing the cell).
-/// The `micro_components` artifact must contain such a cell at all — a
-/// refactor that silently dropped the comparison would otherwise pass
+/// Every object carrying `flat_ns` is a flat-traversal cell. It must carry
+/// the pointer-walk baseline it was compared against, a `speedup` of at
+/// least 1.0 (the struct-of-arrays layout regressing below the pointer
+/// walk is exactly the regression this gate exists to catch), and a true
+/// `identical` flag (the bench bit-compares the two traversals before
+/// writing the cell). The `micro_components` artifact must contain such a
+/// cell at all, or a refactor that dropped the comparison would pass
 /// vacuously.
-fn flat_violations(json: &str) -> Vec<String> {
+fn flat_violations(doc: &Value) -> Vec<String> {
     let mut violations = Vec::new();
     let mut cells = 0usize;
-    for (number, line) in json.lines().enumerate() {
-        let Some(flat_ns) = field_f64(line, "flat_ns") else {
+    for (cell, value) in nodes(doc) {
+        let Some(flat_ns) = num(value, "flat_ns") else {
             continue;
         };
         cells += 1;
-        let cell = format!("flat cell at line {}", number + 1);
-        if field_f64(line, "pointer_ns").is_none() {
+        if num(value, "pointer_ns").is_none() {
             violations.push(format!(
                 "{cell}: flat_ns {flat_ns} without a pointer_ns baseline"
             ));
         }
-        match field_f64(line, "speedup") {
+        match num(value, "speedup") {
             Some(speedup) if speedup >= 1.0 => {}
             Some(speedup) => violations.push(format!(
                 "{cell}: flat traversal slower than the pointer walk (speedup {speedup} < 1.0)"
             )),
             None => violations.push(format!("{cell}: no speedup recorded")),
         }
-        if !line.contains("\"identical\": true") {
+        if value.get("identical").and_then(Value::as_bool) != Some(true) {
             violations.push(format!(
                 "{cell}: flat/pointer bit-identity not asserted true"
             ));
         }
     }
-    if cells == 0 && json.contains("\"benchmark\": \"micro_components\"") {
+    if cells == 0 && benchmark(doc) == Some("micro_components") {
         violations.push("micro_components artifact carries no flat-traversal cell".to_owned());
     }
     violations
 }
 
-/// Validates the fault-recovery artifact: the robustness cells must be
-/// present, coherent, and non-vacuous. A storm that never struck, a pass
-/// that checkpointed nothing, or a hand-edited overhead ratio would
-/// otherwise read as a clean bill of health.
-fn faults_violations(json: &str) -> Vec<String> {
-    if !json.contains("\"benchmark\": \"faults_recovery\"") {
+/// The recurring-job artifact: the chain must actually recur (≥ 2 runs),
+/// the cost-to-target trajectory must be coherent and must improve from
+/// the cold run to the final one (the whole point of the knowledge layer),
+/// warm first-decision pruning must beat the cold run's disarmed guard,
+/// and the cross-engine bit-identity flag must be present. A chain that
+/// stopped transferring knowledge would otherwise publish a flat
+/// trajectory and pass vacuously.
+fn recurring_violations(doc: &Value) -> Vec<String> {
+    if benchmark(doc) != Some("recurring") {
         return Vec::new();
     }
     let mut violations = Vec::new();
-    let whole = json.replace('\n', " ");
-    match field_f64(&whole, "checkpointed_steps_per_pass") {
-        Some(steps) if steps >= 1.0 => {}
-        Some(steps) => violations.push(format!(
-            "durable pass checkpointed {steps} steps — durability was never exercised"
-        )),
-        None => violations.push("no checkpointed_steps_per_pass recorded".to_owned()),
-    }
-    match field_f64(&whole, "faults_recovered_per_pass") {
-        Some(retries) if retries >= 1.0 => {}
-        Some(retries) => violations.push(format!(
-            "storm pass recovered {retries} faults — the storm never struck"
-        )),
-        None => violations.push("no faults_recovered_per_pass recorded".to_owned()),
-    }
-    for ratio_key in [
-        "checkpoint_overhead_vs_baseline",
-        "recovery_overhead_vs_durable",
-    ] {
-        match field_f64(&whole, ratio_key) {
-            Some(ratio) if ratio.is_finite() && ratio > 0.0 => {}
-            Some(ratio) => violations.push(format!("{ratio_key} {ratio} is not a usable ratio")),
-            None => violations.push(format!("no {ratio_key} recorded")),
-        }
-    }
-    for flag in [
-        "baseline_identical_reports",
-        "durable_identical_reports",
-        "storm_identical_reports",
-    ] {
-        if !whole.contains(&format!("\"{flag}\": ")) {
-            violations.push(format!("{flag} flag missing — the bench stopped asserting"));
-        }
-    }
-    violations
-}
-
-/// Validates the HTTP service-load artifact: throughput must be a real
-/// positive number, the latency quantiles must be ordered, the admission
-/// accounting must balance (`admitted + shed == submitted` — the serving
-/// layer's hard invariant, re-checked here against the published numbers),
-/// and the wire-vs-solo bit-identity flag must be present at all (its
-/// truth is gated by the `identical` scan like every other flag).
-fn http_violations(json: &str) -> Vec<String> {
-    if !json.contains("\"benchmark\": \"service_http\"") {
-        return Vec::new();
-    }
-    let mut violations = Vec::new();
-    let whole = json.replace('\n', " ");
-    match field_f64(&whole, "sessions_per_second") {
-        Some(rate) if rate.is_finite() && rate > 0.0 => {}
-        Some(rate) => violations.push(format!(
-            "sessions_per_second {rate} is not a positive throughput"
-        )),
-        None => violations.push("no sessions_per_second recorded".to_owned()),
-    }
-    match (
-        field_f64(&whole, "report_latency_p50_ms"),
-        field_f64(&whole, "report_latency_p99_ms"),
-    ) {
-        (Some(p50), Some(p99)) => {
-            if !(p50.is_finite() && p99.is_finite() && p50 >= 0.0) {
-                violations.push(format!("latency quantiles p50 {p50} / p99 {p99} unusable"));
-            } else if p50 > p99 {
-                violations.push(format!("latency p50 {p50} ms exceeds p99 {p99} ms"));
-            }
-        }
-        _ => violations.push("latency quantiles p50/p99 not both recorded".to_owned()),
-    }
-    match (
-        field_f64(&whole, "submitted"),
-        field_f64(&whole, "admitted"),
-        field_f64(&whole, "shed"),
-    ) {
-        (Some(submitted), Some(admitted), Some(shed)) => {
-            if admitted + shed != submitted {
-                violations.push(format!(
-                    "admission accounting broken: admitted {admitted} + shed {shed} \
-                     != submitted {submitted}"
-                ));
-            }
-        }
-        _ => violations.push("admission counters submitted/admitted/shed incomplete".to_owned()),
-    }
-    if !whole.contains("\"wire_reports_identical\": ") {
-        violations
-            .push("wire_reports_identical flag missing — the bench stopped asserting".to_owned());
-    }
-    violations
-}
-
-/// Validates the recurring-job artifact: the chain must actually recur
-/// (≥ 2 runs), the cost-to-target trajectory must be coherent and must
-/// improve from the cold run to the final one (the whole point of the
-/// knowledge layer), warm first-decision pruning must beat the cold run's
-/// disarmed guard, and the cross-engine bit-identity flag must be present.
-/// A chain that silently stopped transferring knowledge would otherwise
-/// publish a flat trajectory and pass vacuously.
-fn recurring_violations(json: &str) -> Vec<String> {
-    if !json.contains("\"benchmark\": \"recurring\"") {
-        return Vec::new();
-    }
-    let mut violations = Vec::new();
-    let whole = json.replace('\n', " ");
-    match field_f64(&whole, "runs_chained") {
+    match num(doc, "runs_chained") {
         Some(runs) if runs >= 2.0 => {}
         Some(runs) => violations.push(format!(
-            "runs_chained {runs} — a single run never exercises transfer"
+            "runs_chained {runs}: a single run never exercises transfer"
         )),
         None => violations.push("no runs_chained recorded".to_owned()),
     }
-    for (number, line) in json.lines().enumerate() {
-        let Some(cost) = field_f64(line, "cost_to_target") else {
+    for (cell, value) in nodes(doc) {
+        if value.get("cost_to_target").is_none() {
             continue;
-        };
-        let cell = format!("cell at line {}", number + 1);
-        if !(cost.is_finite() && cost >= 0.0) {
-            violations.push(format!("{cell}: cost_to_target {cost} unusable"));
+        }
+        if num(value, "cost_to_target").is_none() {
+            violations.push(format!("{cell}: cost_to_target is not a number"));
         }
         if let (Some(candidates), Some(cut)) = (
-            field_f64(line, "first_decision_candidates"),
-            field_f64(line, "first_decision_cut"),
+            num(value, "first_decision_candidates"),
+            num(value, "first_decision_cut"),
         ) {
             if cut > candidates {
                 violations.push(format!(
@@ -310,34 +232,27 @@ fn recurring_violations(json: &str) -> Vec<String> {
                 ));
             }
         }
-        if let Some(fraction) = field_f64(line, "first_decision_prune_fraction") {
-            if !(0.0..=1.0).contains(&fraction) {
-                violations.push(format!(
-                    "{cell}: first_decision_prune_fraction {fraction} outside [0, 1]"
-                ));
-            }
+        if let Some(fraction) =
+            num(value, "first_decision_prune_fraction").filter(|f| !(0.0..=1.0).contains(f))
+        {
+            violations.push(format!(
+                "{cell}: first_decision_prune_fraction {fraction} outside [0, 1]"
+            ));
         }
     }
     match (
-        field_f64(&whole, "cold_cost_to_target"),
-        field_f64(&whole, "final_cost_to_target"),
+        num(doc, "cold_cost_to_target"),
+        num(doc, "final_cost_to_target"),
     ) {
-        (Some(cold), Some(last)) => {
-            if !(cold.is_finite() && last.is_finite() && cold > 0.0 && last >= 0.0) {
-                violations.push(format!(
-                    "cost-to-target endpoints cold {cold} / final {last} unusable"
-                ));
-            } else if last >= cold {
-                violations.push(format!(
-                    "cost-to-target never improved: final {last} >= cold {cold}"
-                ));
-            }
-        }
+        (Some(cold), Some(last)) if last >= cold => violations.push(format!(
+            "cost-to-target never improved: final {last} >= cold {cold}"
+        )),
+        (Some(_), Some(_)) => {}
         _ => violations.push("cost-to-target endpoints not both recorded".to_owned()),
     }
     match (
-        field_f64(&whole, "cold_first_decision_prune_fraction"),
-        field_f64(&whole, "warm_first_decision_prune_fraction"),
+        num(doc, "cold_first_decision_prune_fraction"),
+        num(doc, "warm_first_decision_prune_fraction"),
     ) {
         (Some(cold), Some(warm)) => {
             if !((0.0..=1.0).contains(&cold) && (0.0..=1.0).contains(&warm)) {
@@ -353,16 +268,40 @@ fn recurring_violations(json: &str) -> Vec<String> {
         }
         _ => violations.push("first-decision prune fractions not both recorded".to_owned()),
     }
-    if !whole.contains("\"chain_reports_identical\": ") {
+    if doc
+        .get("chain_reports_identical")
+        .and_then(Value::as_bool)
+        .is_none()
+    {
         violations
-            .push("chain_reports_identical flag missing — the bench stopped asserting".to_owned());
+            .push("chain_reports_identical flag missing: the bench stopped asserting".to_owned());
     }
     violations
 }
 
-fn workspace_bench_files() -> Vec<PathBuf> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let Ok(entries) = std::fs::read_dir(&root) else {
+/// The artifact's `benchmark` name.
+fn benchmark(doc: &Value) -> Option<&str> {
+    doc.get("benchmark")?.as_str()
+}
+
+/// Every rule's violations for one artifact's text.
+fn check(text: &str) -> Vec<String> {
+    let doc = match json::parse(text) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("not valid JSON: {e}")],
+    };
+    let rules: [fn(&Value) -> Vec<String>; 5] = [
+        flag_violations,
+        number_violations,
+        pruning_violations,
+        flat_violations,
+        recurring_violations,
+    ];
+    rules.iter().flat_map(|rule| rule(&doc)).collect()
+}
+
+fn artifact_files() -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(lynceus_bench::artifact_dir()) else {
         return Vec::new();
     };
     let mut files: Vec<PathBuf> = entries
@@ -381,7 +320,7 @@ fn workspace_bench_files() -> Vec<PathBuf> {
 fn main() -> ExitCode {
     let args: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
     let files = if args.is_empty() {
-        workspace_bench_files()
+        artifact_files()
     } else {
         args
     };
@@ -389,89 +328,19 @@ fn main() -> ExitCode {
         eprintln!("bench_check: no BENCH_*.json files found");
         return ExitCode::FAILURE;
     }
-
     let mut failed = false;
     for file in &files {
-        let json = match std::fs::read_to_string(file) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("bench_check: cannot read {}: {e}", file.display());
-                failed = true;
-                continue;
-            }
+        let violations = match std::fs::read_to_string(file) {
+            Ok(text) => check(&text),
+            Err(e) => vec![format!("cannot read: {e}")],
         };
-        let flags = identical_flags(&json);
-        if flags.is_empty() {
-            eprintln!(
-                "bench_check: {} asserts no equivalence flag — a bench must \
-                 self-assert its invariants",
-                file.display()
-            );
-            failed = true;
-            continue;
+        if violations.is_empty() {
+            println!("bench_check: {} ok", file.display());
         }
-        let false_flags: Vec<&str> = flags
-            .iter()
-            .filter(|(_, ok)| !ok)
-            .map(|(key, _)| key.as_str())
-            .collect();
-        let violations = cell_violations(&json);
-        let flat = flat_violations(&json);
-        let faults = faults_violations(&json);
-        let http = http_violations(&json);
-        let recurring = recurring_violations(&json);
-        if false_flags.is_empty()
-            && violations.is_empty()
-            && flat.is_empty()
-            && faults.is_empty()
-            && http.is_empty()
-            && recurring.is_empty()
-        {
-            println!(
-                "bench_check: {} ok ({} equivalence flag(s) true, pruning, flat, fault, http and recurring cells coherent)",
-                file.display(),
-                flags.len()
-            );
-        } else {
-            if !false_flags.is_empty() {
-                eprintln!(
-                    "bench_check: {} FAILED its self-asserted equivalence: {}",
-                    file.display(),
-                    false_flags.join(", ")
-                );
-            }
-            for violation in &violations {
-                eprintln!(
-                    "bench_check: {} has incoherent pruning counters — {violation}",
-                    file.display()
-                );
-            }
-            for violation in &flat {
-                eprintln!(
-                    "bench_check: {} has an invalid flat-traversal cell — {violation}",
-                    file.display()
-                );
-            }
-            for violation in &faults {
-                eprintln!(
-                    "bench_check: {} has an invalid fault-recovery cell — {violation}",
-                    file.display()
-                );
-            }
-            for violation in &http {
-                eprintln!(
-                    "bench_check: {} has an invalid http-service cell — {violation}",
-                    file.display()
-                );
-            }
-            for violation in &recurring {
-                eprintln!(
-                    "bench_check: {} has an invalid recurring-job cell — {violation}",
-                    file.display()
-                );
-            }
-            failed = true;
+        for violation in &violations {
+            eprintln!("bench_check: {} FAILED: {violation}", file.display());
         }
+        failed |= !violations.is_empty();
     }
     if failed {
         ExitCode::FAILURE
@@ -482,317 +351,240 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::identical_flags;
+    use super::*;
+
+    fn doc(text: &str) -> Value {
+        json::parse(text).expect("test input is valid JSON")
+    }
+
+    fn mentions(violations: &[String], needle: &str) -> bool {
+        violations.iter().any(|v| v.contains(needle))
+    }
 
     #[test]
-    fn finds_true_and_false_flags() {
-        let json = r#"{
-          "identical_recommendation": true,
-          "cells": [ { "identical": false }, { "identical": true } ],
-          "bit_identical_reports": true,
-          "speedup": 2.0
-        }"#;
-        let flags = identical_flags(json);
+    fn unparseable_files_fail() {
+        assert!(mentions(
+            &check(r#"{ "identical": true "#),
+            "not valid JSON"
+        ));
+        assert!(mentions(
+            &check(r#"{ "identical": true, "identical": true }"#),
+            "not valid JSON"
+        ));
+    }
+
+    #[test]
+    fn false_absent_or_non_boolean_flags_fail() {
+        let nested = doc(r#"{ "cells": [ { "identical": false }, { "identical": true } ] }"#);
+        assert_eq!(flag_violations(&nested), ["$.cells[0].identical is false"]);
+        let absent = doc(r#"{ "benchmark": "x", "speedup": 2.0 }"#);
+        assert!(mentions(&flag_violations(&absent), "asserts nothing"));
+        let only_null = doc(r#"{ "cells": [ { "identical": null } ] }"#);
+        assert!(mentions(&flag_violations(&only_null), "asserts nothing"));
+        let counted = doc(r#"{ "identical_count": 3, "identical": true }"#);
+        assert!(mentions(&flag_violations(&counted), "not a boolean"));
+    }
+
+    #[test]
+    fn null_flags_assert_nothing_beside_a_true_one() {
+        let skipped = doc(r#"{ "cells": [ { "identical": null }, { "bit_identical": true } ] }"#);
+        assert!(flag_violations(&skipped).is_empty());
+    }
+
+    /// The faults artifact the retired recovery bench published: the
+    /// difference of two noisy timings recorded a negative per-step cost.
+    const NEGATIVE_COST: &str = r#"{
+  "benchmark": "faults_recovery",
+  "sessions": 4,
+  "cpus": 1,
+  "lanes": 4,
+  "baseline_seconds_per_pass": 0.0595,
+  "durable_seconds_per_pass": 0.0587,
+  "checkpoint_overhead_vs_baseline": 0.986,
+  "checkpointed_steps_per_pass": 37,
+  "checkpoint_seconds_per_step": -0.000021814,
+  "storm_seconds_per_pass": 0.0719,
+  "recovery_overhead_vs_durable": 1.226,
+  "faults_recovered_per_pass": 4,
+  "baseline_identical_reports": true,
+  "durable_identical_reports": true,
+  "storm_identical_reports": true
+}
+"#;
+
+    #[test]
+    fn negative_and_non_finite_numbers_fail() {
         assert_eq!(
-            flags,
-            vec![
-                ("identical_recommendation".to_owned(), true),
-                ("identical".to_owned(), false),
-                ("identical".to_owned(), true),
-                ("bit_identical_reports".to_owned(), true),
-            ]
+            check(NEGATIVE_COST),
+            ["$.checkpoint_seconds_per_step is negative (-0.000021814)"]
         );
+        let nan = doc(r#"{ "flat_traversal": { "speedup": "NaN" } }"#);
+        assert_eq!(
+            number_violations(&nan),
+            ["$.flat_traversal.speedup is not a finite number (NaN)"]
+        );
+        let infinities = doc(r#"{ "a": ["Infinity", "-Infinity", "finite", 0, -0, 1e3] }"#);
+        assert_eq!(number_violations(&infinities).len(), 2);
     }
 
     #[test]
-    fn ignores_non_boolean_and_unrelated_keys() {
-        let flags = identical_flags(r#"{ "identical_count": 3, "speedup": 1.0 }"#);
-        assert!(flags.is_empty());
+    fn whitespace_free_artifacts_are_checked() {
+        let compact = NEGATIVE_COST
+            .replace(['\n', ' '], "")
+            .replace("reports\":true}", "reports\":false}");
+        let violations = check(&compact);
+        assert!(mentions(&violations, "negative (-0.000021814)"));
+        assert!(mentions(&violations, "storm_identical_reports is false"));
     }
-
-    use super::cell_violations;
 
     #[test]
     fn coherent_pruning_cells_pass() {
-        let json = r#"{
-  "cells": [
-    { "decisions": 10, "candidates": 100, "pruned": 60, "pruned_fraction": 0.600, "deep_pruned": 15, "deep_cuts": [10, 5, 0, 0, 0, 0], "cut_fraction": 0.750, "identical": true },
-    { "decisions": 4, "candidates": 40, "pruned": 0, "pruned_fraction": 0.000, "deep_pruned": 0, "deep_cuts": [0, 0, 0, 0, 0, 0], "cut_fraction": 0.000, "identical": true }
-  ]
-}"#;
-        assert_eq!(cell_violations(json), Vec::<String>::new());
+        let cells = doc(r#"{ "cells": [
+              { "decisions": 10, "candidates": 100, "pruned": 60, "pruned_fraction": 0.6, "deep_pruned": 15, "deep_cuts": [10, 5, 0, 0, 0, 0], "cut_fraction": 0.75, "identical": true },
+              { "decisions": 4, "candidates": 40, "pruned": 0, "pruned_fraction": 0, "deep_pruned": 0, "deep_cuts": [0, 0, 0, 0, 0, 0], "cut_fraction": 0, "identical": null }
+            ] }"#);
+        assert!(pruning_violations(&cells).is_empty());
     }
 
     #[test]
-    fn monotonicity_violations_are_reported() {
-        // More total cuts than candidates.
-        let overflow = r#"{ "decisions": 2, "candidates": 10, "pruned": 8, "pruned_fraction": 0.800, "deep_pruned": 5, "deep_cuts": [5, 0, 0, 0, 0, 0], "cut_fraction": 1.300, "identical": true }"#;
-        let violations = cell_violations(overflow);
-        assert!(
-            violations.iter().any(|v| v.contains("> candidates")),
-            "missing overflow violation: {violations:?}"
+    fn incoherent_pruning_cells_fail() {
+        let overflow = doc(
+            r#"{ "decisions": 2, "candidates": 10, "pruned": 8, "pruned_fraction": 0.8, "deep_pruned": 5, "deep_cuts": [5, 0], "cut_fraction": 1.3 }"#,
         );
-        assert!(violations.iter().any(|v| v.contains("outside [0, 1]")));
-        // Level breakdown disagreeing with the total.
-        let mismatch = r#"{ "decisions": 2, "candidates": 10, "pruned": 1, "pruned_fraction": 0.100, "deep_pruned": 4, "deep_cuts": [1, 1, 0, 0, 0, 0], "cut_fraction": 0.500, "identical": true }"#;
-        assert!(cell_violations(mismatch)
-            .iter()
-            .any(|v| v.contains("deep_cuts sum")));
-        // A totals field without its per-level breakdown.
-        let missing = r#"{ "decisions": 1, "candidates": 10, "pruned": 1, "deep_pruned": 2, "identical": true }"#;
-        assert!(cell_violations(missing)
-            .iter()
-            .any(|v| v.contains("without per-level")));
-        // A combined fraction below the candidate-level one.
-        let shrunk = r#"{ "decisions": 1, "candidates": 10, "pruned": 5, "pruned_fraction": 0.500, "deep_pruned": 0, "deep_cuts": [0, 0, 0, 0, 0, 0], "cut_fraction": 0.100, "identical": true }"#;
-        assert!(cell_violations(shrunk)
-            .iter()
-            .any(|v| v.contains("cut_fraction")));
-        // Candidates counted without any decision.
-        let no_decisions =
-            r#"{ "decisions": 0, "candidates": 10, "pruned": 1, "identical": true }"#;
-        assert!(cell_violations(no_decisions)
-            .iter()
-            .any(|v| v.contains("no decisions")));
-    }
-
-    use super::flat_violations;
-
-    #[test]
-    fn coherent_flat_cells_pass() {
-        let json = r#"{
-  "benchmark": "micro_components",
-  "flat_traversal": {
-    "pointer_ns": 20000.0, "flat_ns": 10000.0, "speedup": 2.00, "identical": true
-  }
-}"#;
-        assert_eq!(flat_violations(json), Vec::<String>::new());
+        let violations = pruning_violations(&overflow);
+        assert!(mentions(&violations, "> candidates"));
+        assert!(mentions(&violations, "cut_fraction 1.3 outside [0, 1]"));
+        let mismatch = doc(
+            r#"{ "decisions": 2, "candidates": 10, "pruned": 1, "deep_pruned": 4, "deep_cuts": [1, 1] }"#,
+        );
+        assert!(mentions(&pruning_violations(&mismatch), "deep_cuts sum 2"));
+        let missing = doc(r#"{ "decisions": 1, "candidates": 10, "pruned": 1, "deep_pruned": 2 }"#);
+        assert!(mentions(
+            &pruning_violations(&missing),
+            "without a per-level"
+        ));
+        let shrunk = doc(
+            r#"{ "decisions": 1, "candidates": 10, "pruned": 5, "pruned_fraction": 0.5, "deep_pruned": 0, "deep_cuts": [0], "cut_fraction": 0.1 }"#,
+        );
+        assert!(mentions(&pruning_violations(&shrunk), "< pruned_fraction"));
+        let no_decisions = doc(r#"{ "decisions": 0, "candidates": 10, "pruned": 1 }"#);
+        assert!(mentions(&pruning_violations(&no_decisions), "no decisions"));
+        let legacy =
+            doc(r#"{ "cells": [ { "candidates": 20, "pruned": 25, "pruned_fraction": 1.25 } ] }"#);
+        let violations = pruning_violations(&legacy);
+        assert!(mentions(
+            &violations,
+            "$.cells[0]: pruned 25 > candidates 20"
+        ));
+        assert!(mentions(&violations, "pruned_fraction 1.25 outside [0, 1]"));
     }
 
     #[test]
-    fn flat_regressions_and_missing_fields_are_reported() {
-        // Flat path slower than the pointer walk.
+    fn flat_cells_need_a_baseline_a_speedup_and_a_true_flag() {
+        let good = doc(
+            r#"{ "benchmark": "micro_components", "flat_traversal": { "pointer_ns": 2e4, "flat_ns": 1e4, "speedup": 2.0, "identical": true } }"#,
+        );
+        assert!(flat_violations(&good).is_empty());
         let slow =
-            r#"{ "pointer_ns": 100.0, "flat_ns": 150.0, "speedup": 0.67, "identical": true }"#;
-        assert!(flat_violations(slow).iter().any(|v| v.contains("< 1.0")));
-        // No pointer baseline on the line.
-        let orphan = r#"{ "flat_ns": 150.0, "speedup": 1.50, "identical": true }"#;
-        assert!(flat_violations(orphan)
-            .iter()
-            .any(|v| v.contains("without a pointer_ns baseline")));
-        // Bit-identity not asserted.
+            doc(r#"{ "pointer_ns": 100, "flat_ns": 150, "speedup": 0.67, "identical": true }"#);
+        assert!(mentions(&flat_violations(&slow), "< 1.0"));
+        let orphan = doc(r#"{ "flat_ns": 150, "speedup": 1.5, "identical": true }"#);
+        assert!(mentions(
+            &flat_violations(&orphan),
+            "without a pointer_ns baseline"
+        ));
         let unasserted =
-            r#"{ "pointer_ns": 100.0, "flat_ns": 50.0, "speedup": 2.00, "identical": false }"#;
-        assert!(flat_violations(unasserted)
-            .iter()
-            .any(|v| v.contains("bit-identity")));
-        // The component baseline must carry a flat cell at all.
-        let vacuous = r#"{ "benchmark": "micro_components", "components": {} }"#;
-        assert!(flat_violations(vacuous)
-            .iter()
-            .any(|v| v.contains("no flat-traversal cell")));
-        // Other artifacts are not required to carry one.
-        let other = r#"{ "benchmark": "multi_session" }"#;
-        assert!(flat_violations(other).is_empty());
+            doc(r#"{ "pointer_ns": 100, "flat_ns": 50, "speedup": 2.0, "identical": null }"#);
+        assert!(mentions(&flat_violations(&unasserted), "bit-identity"));
+        let vacuous = doc(r#"{ "benchmark": "micro_components", "components": {} }"#);
+        assert!(mentions(
+            &flat_violations(&vacuous),
+            "no flat-traversal cell"
+        ));
+        assert!(flat_violations(&doc(r#"{ "benchmark": "recurring" }"#)).is_empty());
     }
 
-    use super::faults_violations;
-
-    fn faults_artifact(steps: u64, retries: u64, overhead: f64) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"faults_recovery\",\n  \
-             \"checkpoint_overhead_vs_baseline\": {overhead:.3},\n  \
-             \"checkpointed_steps_per_pass\": {steps},\n  \
-             \"recovery_overhead_vs_durable\": 1.100,\n  \
-             \"faults_recovered_per_pass\": {retries},\n  \
-             \"baseline_identical_reports\": true,\n  \
-             \"durable_identical_reports\": true,\n  \
-             \"storm_identical_reports\": true\n}}\n"
-        )
+    fn recurring(cold_cost: f64, final_cost: f64, cold_frac: f64, warm_frac: f64) -> Value {
+        let num = Value::from_f64;
+        lynceus_bench::object([
+            ("benchmark", Value::Str("recurring".to_owned())),
+            ("runs_chained", Value::from_u64(3)),
+            (
+                "cells",
+                Value::Arr(vec![
+                    lynceus_bench::object([
+                        ("cost_to_target", num(cold_cost)),
+                        ("first_decision_candidates", Value::from_u64(67)),
+                        ("first_decision_cut", Value::from_u64(0)),
+                        ("first_decision_prune_fraction", num(cold_frac)),
+                    ]),
+                    lynceus_bench::object([
+                        ("cost_to_target", num(final_cost)),
+                        ("first_decision_candidates", Value::from_u64(64)),
+                        ("first_decision_cut", Value::from_u64(9)),
+                        ("first_decision_prune_fraction", num(warm_frac)),
+                    ]),
+                ]),
+            ),
+            ("cold_cost_to_target", num(cold_cost)),
+            ("final_cost_to_target", num(final_cost)),
+            ("cold_first_decision_prune_fraction", num(cold_frac)),
+            ("warm_first_decision_prune_fraction", num(warm_frac)),
+            ("chain_reports_identical", Value::Bool(true)),
+        ])
     }
 
-    #[test]
-    fn coherent_fault_cells_pass() {
-        assert_eq!(
-            faults_violations(&faults_artifact(120, 7, 1.05)),
-            Vec::<String>::new()
-        );
-        // Other artifacts are not required to carry fault cells.
-        assert!(faults_violations(r#"{ "benchmark": "multi_session" }"#).is_empty());
-    }
-
-    #[test]
-    fn vacuous_or_incoherent_fault_cells_are_reported() {
-        // A storm that never struck, or a pass that checkpointed nothing.
-        assert!(faults_violations(&faults_artifact(0, 7, 1.05))
-            .iter()
-            .any(|v| v.contains("never exercised")));
-        assert!(faults_violations(&faults_artifact(120, 0, 1.05))
-            .iter()
-            .any(|v| v.contains("never struck")));
-        // A nonsensical ratio.
-        assert!(faults_violations(&faults_artifact(120, 7, -2.0))
-            .iter()
-            .any(|v| v.contains("not a usable ratio")));
-        // A dropped assertion flag.
-        let unasserted = faults_artifact(120, 7, 1.05).replace("storm_identical_reports", "gone");
-        assert!(faults_violations(&unasserted)
-            .iter()
-            .any(|v| v.contains("stopped asserting")));
-        // Missing fields entirely.
-        let bare = r#"{ "benchmark": "faults_recovery" }"#;
-        assert!(faults_violations(bare)
-            .iter()
-            .any(|v| v.contains("no checkpointed_steps_per_pass")));
-    }
-
-    use super::http_violations;
-
-    fn http_artifact(submitted: u64, admitted: u64, shed: u64, p50: f64, p99: f64) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"service_http\",\n  \
-             \"sessions_per_second\": 42.500,\n  \
-             \"report_latency_p50_ms\": {p50:.3},\n  \
-             \"report_latency_p99_ms\": {p99:.3},\n  \
-             \"submitted\": {submitted},\n  \"admitted\": {admitted},\n  \
-             \"shed\": {shed},\n  \
-             \"wire_reports_identical\": true\n}}\n"
-        )
+    /// Re-parses `artifact` after replacing `from` with `to` in its text.
+    fn edited(artifact: &Value, from: &str, to: &str) -> Value {
+        doc(&artifact.to_json().replace(from, to))
     }
 
     #[test]
-    fn coherent_http_cells_pass() {
-        assert_eq!(
-            http_violations(&http_artifact(2000, 64, 1936, 3.5, 12.0)),
-            Vec::<String>::new()
-        );
-        // Other artifacts are not required to carry http cells.
-        assert!(http_violations(r#"{ "benchmark": "multi_session" }"#).is_empty());
+    fn coherent_recurring_chains_pass() {
+        let chain = recurring(3.36, 0.0, 0.0, 0.140625);
+        assert!(check(&chain.to_json()).is_empty());
     }
 
     #[test]
-    fn broken_http_cells_are_reported() {
-        // Admission accounting that does not balance.
-        assert!(http_violations(&http_artifact(2000, 64, 1935, 3.5, 12.0))
-            .iter()
-            .any(|v| v.contains("accounting broken")));
-        // Inverted latency quantiles.
-        assert!(http_violations(&http_artifact(100, 100, 0, 12.0, 3.5))
-            .iter()
-            .any(|v| v.contains("exceeds p99")));
-        // Zero throughput.
-        let stalled = http_artifact(100, 100, 0, 3.5, 12.0).replace(
-            "\"sessions_per_second\": 42.500",
-            "\"sessions_per_second\": 0.000",
+    fn flat_or_incoherent_recurring_chains_fail() {
+        let never_improved = recurring(3.36, 3.36, 0.0, 0.14);
+        assert!(mentions(
+            &recurring_violations(&never_improved),
+            "never improved"
+        ));
+        let never_armed = recurring(3.36, 0.0, 0.2, 0.2);
+        assert!(mentions(&recurring_violations(&never_armed), "never armed"));
+        let out_of_range = recurring(3.36, 0.0, 0.0, 1.5);
+        assert!(mentions(
+            &recurring_violations(&out_of_range),
+            "outside [0, 1]"
+        ));
+        let good = recurring(3.36, 0.0, 0.0, 0.14);
+        let single = edited(&good, "\"runs_chained\":3", "\"runs_chained\":1");
+        assert!(mentions(
+            &recurring_violations(&single),
+            "never exercises transfer"
+        ));
+        let overcut = edited(
+            &good,
+            "\"first_decision_cut\":9",
+            "\"first_decision_cut\":99",
         );
-        assert!(http_violations(&stalled)
-            .iter()
-            .any(|v| v.contains("not a positive throughput")));
-        // A dropped bit-identity flag.
-        let unasserted =
-            http_artifact(100, 100, 0, 3.5, 12.0).replace("wire_reports_identical", "gone");
-        assert!(http_violations(&unasserted)
-            .iter()
-            .any(|v| v.contains("stopped asserting")));
-        // Missing counters entirely.
-        let bare = r#"{ "benchmark": "service_http" }"#;
-        let violations = http_violations(bare);
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("no sessions_per_second")));
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("counters submitted/admitted/shed incomplete")));
-    }
-
-    use super::recurring_violations;
-
-    fn recurring_artifact(
-        cold_cost: f64,
-        final_cost: f64,
-        cold_frac: f64,
-        warm_frac: f64,
-    ) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"recurring\",\n  \"runs_chained\": 3,\n  \
-             \"cells\": [\n    \
-             {{ \"run\": 0, \"cost_to_target\": {cold_cost:.3}, \
-             \"first_decision_candidates\": 67, \"first_decision_cut\": 0, \
-             \"first_decision_prune_fraction\": {cold_frac:.3} }},\n    \
-             {{ \"run\": 2, \"cost_to_target\": {final_cost:.3}, \
-             \"first_decision_candidates\": 64, \"first_decision_cut\": 9, \
-             \"first_decision_prune_fraction\": {warm_frac:.3} }}\n  ],\n  \
-             \"cold_cost_to_target\": {cold_cost:.3},\n  \
-             \"final_cost_to_target\": {final_cost:.3},\n  \
-             \"cold_first_decision_prune_fraction\": {cold_frac:.3},\n  \
-             \"warm_first_decision_prune_fraction\": {warm_frac:.3},\n  \
-             \"chain_reports_identical\": true\n}}\n"
-        )
-    }
-
-    #[test]
-    fn coherent_recurring_cells_pass() {
-        assert_eq!(
-            recurring_violations(&recurring_artifact(3.36, 0.0, 0.0, 0.141)),
-            Vec::<String>::new()
-        );
-        // Other artifacts are not required to carry recurring cells.
-        assert!(recurring_violations(r#"{ "benchmark": "multi_session" }"#).is_empty());
-    }
-
-    #[test]
-    fn flat_or_incoherent_recurring_chains_are_reported() {
-        // A chain whose cost-to-target never improved — knowledge was not
-        // transferred (or the warm runs ignored it).
-        assert!(
-            recurring_violations(&recurring_artifact(3.36, 3.36, 0.0, 0.141))
-                .iter()
-                .any(|v| v.contains("never improved"))
-        );
-        // Warm first-decision pruning no better than the cold disarmed guard.
-        assert!(
-            recurring_violations(&recurring_artifact(3.36, 0.0, 0.2, 0.2))
-                .iter()
-                .any(|v| v.contains("never armed"))
-        );
-        // A fraction outside [0, 1].
-        assert!(
-            recurring_violations(&recurring_artifact(3.36, 0.0, 0.0, 1.5))
-                .iter()
-                .any(|v| v.contains("outside [0, 1]"))
-        );
-        // A chain of one run exercises no transfer at all.
-        let single = recurring_artifact(3.36, 0.0, 0.0, 0.141)
-            .replace("\"runs_chained\": 3", "\"runs_chained\": 1");
-        assert!(recurring_violations(&single)
-            .iter()
-            .any(|v| v.contains("never exercises transfer")));
-        // A cell claiming more first-decision cuts than candidates.
-        let overcut = recurring_artifact(3.36, 0.0, 0.0, 0.141)
-            .replace("\"first_decision_cut\": 9", "\"first_decision_cut\": 99");
-        assert!(recurring_violations(&overcut)
-            .iter()
-            .any(|v| v.contains("> candidates")));
-        // A dropped cross-engine assertion flag.
-        let unasserted =
-            recurring_artifact(3.36, 0.0, 0.0, 0.141).replace("chain_reports_identical", "gone");
-        assert!(recurring_violations(&unasserted)
-            .iter()
-            .any(|v| v.contains("stopped asserting")));
-        // Missing endpoints entirely.
-        let bare = r#"{ "benchmark": "recurring" }"#;
-        let violations = recurring_violations(bare);
-        assert!(violations.iter().any(|v| v.contains("no runs_chained")));
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("endpoints not both recorded")));
-    }
-
-    #[test]
-    fn legacy_cells_without_deep_counters_are_still_checked() {
-        let legacy = r#"{ "decisions": 5, "candidates": 20, "pruned": 25, "pruned_fraction": 1.250, "identical": true }"#;
-        let violations = cell_violations(legacy);
-        assert!(violations.iter().any(|v| v.contains("> candidates")));
-        assert!(violations.iter().any(|v| v.contains("outside [0, 1]")));
+        assert!(mentions(
+            &recurring_violations(&overcut),
+            "cut 99 > candidates 64"
+        ));
+        let unasserted = edited(&good, "chain_reports_identical", "gone");
+        assert!(mentions(
+            &recurring_violations(&unasserted),
+            "stopped asserting"
+        ));
+        let unusable = edited(&good, "\"cost_to_target\":0", "\"cost_to_target\":\"NaN\"");
+        assert!(mentions(&recurring_violations(&unusable), "not a number"));
+        let bare = doc(r#"{ "benchmark": "recurring" }"#);
+        let violations = recurring_violations(&bare);
+        assert!(mentions(&violations, "no runs_chained"));
+        assert!(mentions(&violations, "endpoints not both recorded"));
+        assert!(recurring_violations(&doc(r#"{ "benchmark": "fig6_lookahead" }"#)).is_empty());
     }
 }

@@ -1,103 +1,51 @@
 //! Support library for the benchmark harness.
 //!
-//! Every figure and table of the paper has a corresponding bench target in
-//! `benches/` (run them all with `cargo bench --workspace`) and the `repro`
-//! binary regenerates any subset at higher fidelity. The helpers here choose
-//! the run counts: the defaults keep a full `cargo bench` affordable on a
-//! laptop, and the environment variables below scale the fidelity up to the
-//! paper's setup.
+//! `crates/bench` keeps what no other harness covers. Three bench targets
+//! time the engine's components and decisions, assert their
+//! engine-identity invariants, and publish one artifact each:
+//! `micro_components` (`BENCH_baseline.json`), `fig6_lookahead`
+//! (`BENCH_lookahead.json`) and `fig_recurring` (`BENCH_recurring.json`).
+//! The `bench_check` binary gates those artifacts, and the `repro` binary
+//! regenerates the paper's figures and tables. End-to-end service
+//! measurements live in `perfbench/`.
 //!
-//! * `LYNCEUS_RUNS` — repetitions per (job, optimizer) pair (default 1 for
-//!   benches so `cargo bench` stays affordable on a single core; the paper
-//!   uses ≥100).
-//! * `LYNCEUS_FULL` — set to `1` to run figure benches over every job instead
-//!   of the representative subset.
+//! Artifacts are [`Value`] documents written by [`write_artifact`] into
+//! [`artifact_dir`]: the workspace root, or the directory named by the
+//! `LYNCEUS_BENCH_OUT` environment variable. `bench_check` reads the same
+//! directory by default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lynceus_datasets::{catalog, LookupDataset};
-use lynceus_experiments::ExperimentConfig;
+use lynceus_serve::json::Value;
+use std::path::PathBuf;
 
-/// Number of repetitions used by the bench targets (the `LYNCEUS_RUNS`
-/// environment variable overrides the default of 1).
+/// The directory bench artifacts are written to and checked in:
+/// `LYNCEUS_BENCH_OUT` when set, otherwise the workspace root.
 #[must_use]
-pub fn bench_runs() -> usize {
-    std::env::var("LYNCEUS_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
+pub fn artifact_dir() -> PathBuf {
+    std::env::var_os("LYNCEUS_BENCH_OUT").map_or_else(
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
+        PathBuf::from,
+    )
 }
 
-/// Whether the benches should cover every job (`LYNCEUS_FULL=1`) or the
-/// representative subset.
-#[must_use]
-pub fn full_fidelity() -> bool {
-    std::env::var("LYNCEUS_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// The experiment configuration used by the bench targets: the default run
-/// count, a 2-node Gauss–Hermite rule (the cheapest lookahead that is still
-/// long-sighted) and single-threaded execution so the per-decision times of
-/// Table 3 are comparable across machines.
-#[must_use]
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig {
-        gauss_hermite_nodes: 2,
-        ..ExperimentConfig::default().with_runs(bench_runs())
+/// Writes `artifact` to `file_name` in [`artifact_dir`]. A failed write
+/// ends the process with a non-zero status, so a bench that could not
+/// publish never leaves a stale artifact to pass for a fresh one.
+pub fn write_artifact(file_name: &str, artifact: &Value) {
+    let path = artifact_dir().join(file_name);
+    match std::fs::write(&path, artifact.to_json() + "\n") {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
-/// The TensorFlow datasets the benches run on: all three under
-/// `LYNCEUS_FULL=1`, otherwise the CNN job (the one the paper highlights in
-/// Figure 7).
+/// A JSON object from `(key, value)` pairs, in order.
 #[must_use]
-pub fn bench_tensorflow_datasets() -> Vec<LookupDataset> {
-    let all = catalog::tensorflow_datasets();
-    if full_fidelity() {
-        all
-    } else {
-        all.into_iter().take(1).collect()
-    }
-}
-
-/// The Scout datasets the benches run on (all 18 under `LYNCEUS_FULL=1`,
-/// otherwise the first 4).
-#[must_use]
-pub fn bench_scout_datasets() -> Vec<LookupDataset> {
-    let all = catalog::scout_datasets();
-    if full_fidelity() {
-        all
-    } else {
-        all.into_iter().take(4).collect()
-    }
-}
-
-/// The CherryPick datasets the benches run on (all 5 under `LYNCEUS_FULL=1`,
-/// otherwise the first 2).
-#[must_use]
-pub fn bench_cherrypick_datasets() -> Vec<LookupDataset> {
-    let all = catalog::cherrypick_datasets();
-    if full_fidelity() {
-        all
-    } else {
-        all.into_iter().take(2).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_defaults_are_small_but_nonzero() {
-        assert!(bench_runs() >= 1);
-        assert!(!bench_tensorflow_datasets().is_empty());
-        assert!(!bench_scout_datasets().is_empty());
-        assert!(!bench_cherrypick_datasets().is_empty());
-        assert_eq!(bench_config().runs, bench_runs());
-    }
+pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }

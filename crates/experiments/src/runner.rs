@@ -39,8 +39,8 @@ impl OptimizerKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of repetitions per (job, optimizer) pair. The paper uses ≥100;
-    /// the default keeps the reproduction affordable and can be raised via
-    /// the `LYNCEUS_RUNS` environment variable in the bench harness.
+    /// the default keeps the reproduction affordable, and `repro --runs N`
+    /// sets it.
     pub runs: usize,
     /// Budget multiplier `b` of the paper's rule `B = N·m̃·b`
     /// (1 = low, 3 = medium, 5 = high).

@@ -51,9 +51,8 @@
 //! extra slots the neighbours leave free, non-blockingly — which is what
 //! makes M concurrent decisions share N workers deadlock-free, and what
 //! lets the service *outrun* back-to-back execution on multicore hardware
-//! (the committed `BENCH_multi_session.json` records one cell per lane
-//! count; its 1-lane cell is the sequential overhead guard, ~1.0 on the
-//! 1-CPU measurement container). Sessions can be submitted from any thread
+//! (`perfbench/` measures the service's sessions per second on its 2-lane
+//! workloads). Sessions can be submitted from any thread
 //! while the service is mid-run (`submit`/`run_until_idle`/`shutdown`
 //! lifecycle), and three scheduling policies are built in
 //! ([`core::SchedulePolicy`]): round-robin (default), highest-priority
@@ -100,9 +99,9 @@
 //! ([`serve::AdmissionPolicy`]): a bounded live-session queue that sheds
 //! past its cap with `503` + `Retry-After` and zero server-side effect.
 //! Shedding is deterministic (`admitted + shed == submitted` is a hard
-//! invariant, gated by `bench_check`), and the committed
-//! `BENCH_service_http.json` (from the `service_http` load bench) records
-//! sessions/sec and p50/p99 report latency through the full wire path.
+//! invariant; `tests/http_conformance.rs` pins a 2000-session burst to
+//! exactly the cap), and `perfbench/`'s http-recurring workload measures
+//! sessions per second and session latency through the full wire path.
 //!
 //! # Recurring jobs
 //!
@@ -276,13 +275,13 @@
 //!   shows the deep cuts biting hardest at `LA = 2` on a warm 128-point
 //!   synthetic space — 78% of candidates skipped or cut (74% outright
 //!   candidate-level + 4% abandoned mid-expansion) — while at `LA = 3`
-//!   the candidate-level bound already skips 62.5% and the in-search
+//!   the candidate-level bound already skips 62.7% and the in-search
 //!   probe adds a handful more (62.8% combined; at `LA = 4`, where
 //!   exhaustive expansion is intractable, the pruned run completes with
 //!   38% of candidates skipped). The warm-space per-decision speedup over
 //!   exhaustive expansion is 2–3× at `LA ∈ {2, 3}` (the artifact records
-//!   best-of-two samples; this 1-CPU container's timing noise makes finer
-//!   point estimates unstable across runs). Cold-start runs on the Scout
+//!   best-of-two samples; the host's timing noise makes finer point
+//!   estimates unstable across runs). Cold-start runs on the Scout
 //!   dataset prune a more modest 8–22% with no deep cuts — early-run
 //!   scores cluster too tightly to separate — and run at ~1.0× parity,
 //!   probe accounting included.
@@ -347,16 +346,16 @@
 //! retained as `PathEngine::NaiveReference`: it makes bit-identical
 //! decisions (asserted by the `engine_equivalence` tests) and anchors the
 //! `micro_components` benchmark, whose results are committed in
-//! `BENCH_baseline.json`. On the single-CPU container used for the baseline
-//! the purely algorithmic speedup of a lookahead-2 decision is ~3.1–3.3×
-//! (component level: incremental refit ~7× vs the reference fit, memoized
-//! batched prediction ~19× vs per-configuration prediction, and the flat
-//! block traversal ~1.9× vs the retained pointer walk — the
-//! `flat_traversal` cell, which `bench_check` gates at ≥ 1.0 with the
-//! bit-identity flag asserted). The artifacts also carry fixed
-//! 4-thread/4-lane cells (`lookahead2_multicore`, the lookahead bench's
-//! `multicore_cells`, the 4-lane scheduler cell) so a multicore box only
-//! has to re-run the benches; on this container they are honest
+//! `BENCH_baseline.json`. The purely algorithmic (sequential) speedup of a
+//! lookahead-2 decision is ~3.2× (component level: incremental refit ~7×
+//! vs the reference fit, memoized batched prediction ~18× vs
+//! per-configuration prediction, and the flat block traversal 1.9× vs the
+//! retained pointer walk on a 1-CPU container, 3.4× on the 2-vCPU host of
+//! the committed baseline — the `flat_traversal` cell, which `bench_check`
+//! gates at ≥ 1.0 with the bit-identity flag asserted). The artifacts also
+//! carry fixed 4-thread cells (`lookahead2_multicore` and the lookahead
+//! bench's `multicore_cells`) so a multicore box only has to re-run the
+//! benches; on a host with fewer than 4 CPUs they are honest
 //! oversubscribed measurements and flagged as such — the work-stealing
 //! pool's near-linear cross-core scaling claim remains to be measured on
 //! real hardware, since candidate expansions are independent.

@@ -14,17 +14,23 @@
 //! * sibling isolation — none of the above perturbs the bit-identical
 //!   reports of healthy sessions sharing the pool;
 //! * storm determinism — the same seeded fault plan produces the same
-//!   outcome at every thread count.
+//!   outcome at every thread count;
+//! * real jobs — a seeded storm over four Scout jobs, with one planted
+//!   panic, recovers every report bit-identically through a checkpoint
+//!   store.
 //!
 //! Faults are keyed by oracle call index (never wall-clock), so everything
 //! here is deterministic under any scheduler interleave.
 
 use lynceus::core::{
-    FaultKind, FaultPlan, FaultProfile, LynceusOptimizer, Optimizer, OptimizerSettings,
-    RetryPolicy, SessionError, SessionSpec, SessionStatus, TuningService,
+    CheckpointStore, FaultKind, FaultPlan, FaultProfile, LynceusOptimizer, MemoryStore, Optimizer,
+    OptimizerSettings, RetryPolicy, SessionError, SessionSpec, SessionStatus, TuningService,
 };
+use lynceus::datasets::{catalog, LookupDataset};
+use lynceus::experiments::ExperimentConfig;
 use lynceus::sim::TurbulentOracle;
 use lynceus::space::SpaceBuilder;
+use std::sync::Arc;
 
 fn valley_oracle(shift: f64) -> lynceus::core::TableOracle {
     let space = SpaceBuilder::new()
@@ -295,4 +301,114 @@ fn the_same_seeded_storm_rages_identically_at_every_thread_count() {
         outcomes_by_threads[0], outcomes_by_threads[1],
         "the seeded storm must be invariant to the thread count"
     );
+}
+
+/// The `(faults, panics)` a session meets under `plan` while completing
+/// `runs` oracle runs. A revocation or transient error burns its call index
+/// and the run is retried at the next one. A panic is replayed from the
+/// checkpoint taken at its call index, so that index is re-issued and,
+/// the fault being spent, runs clean.
+fn faults_met(plan: &FaultPlan, runs: usize) -> (usize, usize) {
+    let (mut call, mut done, mut faults, mut panics) = (0u64, 0usize, 0usize, 0usize);
+    while done < runs {
+        match plan.fault_at(call) {
+            Some(FaultKind::Revocation | FaultKind::TransientError) => faults += 1,
+            Some(FaultKind::Panic) => {
+                faults += 1;
+                panics += 1;
+                done += 1;
+            }
+            Some(FaultKind::PriceShock(_)) | None => done += 1,
+        }
+        call += 1;
+    }
+    (faults, panics)
+}
+
+#[test]
+fn a_scout_storm_with_a_planted_panic_recovers_every_report_bit_identically() {
+    let jobs: Vec<LookupDataset> = catalog::scout_datasets().into_iter().take(4).collect();
+    let config = ExperimentConfig {
+        gauss_hermite_nodes: 2,
+        budget_multiplier: 3.0,
+        ..ExperimentConfig::default()
+    };
+    let job_settings = |dataset: &LookupDataset| {
+        let mut settings = config.settings_for(dataset, 1);
+        // Pooled BoundAndPrune decisions can depend on the thread schedule;
+        // sequential paths keep the solo reference exact.
+        settings.parallel_paths = false;
+        settings
+    };
+    let seed_of = |index: usize| 11 + index as u64;
+    // Revocations, transient errors and the odd panic; no price shocks, so a
+    // recovered run must equal the calm one.
+    let profile = FaultProfile {
+        revocation: 0.06,
+        transient: 0.06,
+        panic: 0.02,
+        price_shock: 0.0,
+        shock_range: (1.0, 1.0),
+    };
+    let mut plans: Vec<FaultPlan> = (0..jobs.len())
+        .map(|i| FaultPlan::seeded(1000 + i as u64, &profile, 256))
+        .collect();
+    // The seeded panics sit past where the sessions stop, so plant one at a
+    // call the first job reaches after its bootstrap.
+    plans[0] = plans[0].clone().with_fault(8, FaultKind::Panic);
+    let solo: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, dataset)| {
+            LynceusOptimizer::new(job_settings(dataset)).optimize(dataset, seed_of(i))
+        })
+        .collect();
+    let met: Vec<(usize, usize)> = plans
+        .iter()
+        .zip(&solo)
+        .map(|(plan, report)| faults_met(plan, report.explorations.len()))
+        .collect();
+    assert!(
+        met[0].1 >= 1,
+        "the planted panic must sit on a call job 0 makes"
+    );
+
+    for threads in THREAD_COUNTS {
+        let store: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
+        let service = TuningService::with_threads(threads).with_checkpoints(store);
+        for (i, dataset) in jobs.iter().enumerate() {
+            service.submit(
+                SessionSpec::new(
+                    dataset.name(),
+                    job_settings(dataset),
+                    Box::new(TurbulentOracle::new(dataset.clone(), plans[i].clone())),
+                    seed_of(i),
+                )
+                .with_retry_policy(RetryPolicy {
+                    max_attempts: 64,
+                    backoff_steps: 1,
+                    retry_cost: 0.0,
+                }),
+            );
+        }
+        let outcomes = service.run();
+        assert_eq!(outcomes.len(), jobs.len());
+        for (i, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(
+                outcome.report(),
+                Some(&solo[i]),
+                "{threads} threads: recovery changed the report of {}",
+                outcome.name
+            );
+            let faults: u32 = outcome.receipts.iter().map(|r| r.faults_observed).sum();
+            let retries: u32 = outcome.receipts.iter().map(|r| r.retries_consumed).sum();
+            assert_eq!(
+                (faults as usize, retries as usize),
+                (met[i].0, met[i].0),
+                "{threads} threads: {} must meet and recover every planned fault it reaches, \
+                 the planted panic included",
+                outcome.name
+            );
+        }
+    }
 }
