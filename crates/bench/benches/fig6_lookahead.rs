@@ -8,7 +8,9 @@
 //! deep-planning regime the ROADMAP's "deeper lookahead / larger spaces"
 //! item asks for) — timing the production [`PathEngine::BoundAndPrune`]
 //! engine against the exhaustive [`PathEngine::Batched`] baseline and
-//! recording the pruned-candidate fractions. Reports are asserted
+//! recording the pruned-candidate fractions. The sweep runs with
+//! `parallel_paths` off, so its pruning counts are exact: on a pool, which
+//! candidates get pruned depends on the thread schedule. Reports are asserted
 //! bit-identical wherever the exhaustive baseline is run; on the largest
 //! sweep cell the exhaustive engine is intractable by construction, so the
 //! cell publishes `"identical": null` and the pruned fraction is the
@@ -104,6 +106,14 @@ fn timed_run(
     (elapsed / decisions as f64, report, stats, decisions)
 }
 
+/// The sweep's settings: `parallel_paths` off, for reproducible counts.
+fn sequential(settings: OptimizerSettings) -> OptimizerSettings {
+    OptimizerSettings {
+        parallel_paths: false,
+        ..settings
+    }
+}
+
 fn sweep_cell(
     space: &'static str,
     oracle: &dyn CostOracle,
@@ -152,7 +162,7 @@ fn main() {
         ..ExperimentConfig::default()
     };
     for lookahead in [2usize, 3, 4] {
-        let settings = config.settings_for(&dataset, lookahead);
+        let settings = sequential(config.settings_for(&dataset, lookahead));
         cells.push(sweep_cell("scout/wordcount", &dataset, &settings, 1, true));
     }
 
@@ -161,7 +171,7 @@ fn main() {
     // here — the intractable regime; the pruned fraction is the evidence.
     let wide = wide_synthetic();
     for lookahead in [2usize, 3, 4] {
-        let settings = wide_settings(lookahead);
+        let settings = sequential(wide_settings(lookahead));
         let run_exhaustive = lookahead < 4;
         cells.push(sweep_cell(
             "synthetic/wide128-warm",
@@ -218,7 +228,7 @@ fn main() {
                 identical,
             }
         };
-        let la2_settings = config.settings_for(&dataset, 2);
+        let la2_settings = sequential(config.settings_for(&dataset, 2));
         let (_, la2_report, _, _) =
             timed_run(&dataset, &la2_settings, PathEngine::BoundAndPrune, 1);
         multicore_cells.push(pool_run(
@@ -228,7 +238,7 @@ fn main() {
             1,
             &la2_report,
         ));
-        let wide_la2 = wide_settings(2);
+        let wide_la2 = sequential(wide_settings(2));
         let (_, wide_report, _, _) = timed_run(&wide, &wide_la2, PathEngine::BoundAndPrune, 1);
         multicore_cells.push(pool_run(
             "synthetic/wide128-warm",
@@ -246,13 +256,12 @@ fn main() {
                 format!("{s:>6.2}x vs exhaustive")
             });
         println!(
-            "{:<24} LA={} seed={} {:>12.0} ns/decision {speedup}  pruned {:>3.0}% (+{:>2.0}% deep cuts) of {} candidates over {} decisions",
+            "{:<24} LA={} seed={} {:>12.0} ns/decision {speedup}  pruned {:>3.0}% of {} candidates over {} decisions",
             cell.space,
             cell.lookahead,
             cell.seed,
             cell.pruned_ns_per_decision,
             cell.stats.pruned_fraction() * 100.0,
-            (cell.stats.cut_fraction() - cell.stats.pruned_fraction()) * 100.0,
             cell.stats.candidates,
             cell.decisions,
         );
@@ -269,11 +278,8 @@ fn main() {
         );
     }
 
-    // Per-level pruning cells: `deep_cuts` is indexed by cut depth (entry 0
-    // = cuts between first-level branches, entry 1 = between a branch's
-    // Gauss–Hermite nodes, …); `bench_check` validates that the counters
-    // stay monotone (`pruned + deep_pruned ≤ candidates`, fractions within
-    // [0, 1], the level sum matching the total).
+    // Pruning cells: `bench_check` validates that `pruned ≤ candidates`
+    // and that `pruned_fraction` lies in [0, 1].
     let sweep = cells.iter().map(|cell| {
         object([
             ("space", Value::Str(cell.space.to_owned())),
@@ -296,18 +302,6 @@ fn main() {
                 "pruned_fraction",
                 Value::from_f64(cell.stats.pruned_fraction()),
             ),
-            ("deep_pruned", Value::from_u64(cell.stats.deep_pruned())),
-            (
-                "deep_cuts",
-                Value::Arr(
-                    cell.stats
-                        .deep_cuts
-                        .iter()
-                        .map(|&c| Value::from_u64(c))
-                        .collect(),
-                ),
-            ),
-            ("cut_fraction", Value::from_f64(cell.stats.cut_fraction())),
             ("identical", cell.identical.map_or(Value::Null, Value::Bool)),
         ])
     });

@@ -18,8 +18,8 @@
 //!   under a tight runtime constraint (the dataset's 10th-percentile
 //!   runtime), so a cold bootstrap rarely observes a feasible
 //!   configuration and the pruning guard stays disarmed at decision one; a
-//!   warm session carries the prior run's feasibility evidence and tail
-//!   anchor, so pruning bites immediately.
+//!   warm session replays the prior run's feasible observations into Σ, so
+//!   pruning bites immediately.
 //!
 //! Before any cell is written, the whole chain is re-run on the exhaustive
 //! `Batched` engine and the per-run reports are asserted bit-identical —
@@ -133,18 +133,19 @@ fn cost_to_target(
     None
 }
 
-/// The first non-bootstrap receipt's `(candidates, pruned + deep_pruned)`.
+/// The first non-bootstrap receipt's `(candidates, pruned)`.
 fn first_decision_pruning(receipts: &[DecisionReceipt]) -> (u64, u64) {
     receipts
         .iter()
         .find(|r| !r.bootstrap)
-        .map_or((0, 0), |r| (r.candidates, r.pruned + r.deep_pruned))
+        .map_or((0, 0), |r| (r.candidates, r.pruned))
 }
 
 /// Tightens the runtime constraint to the dataset's 10th-percentile
 /// runtime: feasible configurations become rare, so the cold run's first
 /// model-driven decision lands before any feasibility evidence — the
-/// cold-start waste the warm anchors remove.
+/// cold-start waste the replayed prior removes (its feasible observations
+/// arm pruning from the warm run's first decision).
 fn tighten_tmax(dataset: &mut LookupDataset) {
     let mut runtimes: Vec<f64> = dataset
         .candidates()

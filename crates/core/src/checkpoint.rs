@@ -31,8 +31,14 @@ use std::sync::Mutex;
 /// File magic of the checkpoint format.
 const MAGIC: [u8; 4] = *b"LYNC";
 /// Format version; bumped on any wire-format change. Version 2 added the
-/// cross-run knowledge fields (attached prior, harvested anchor keys).
-const VERSION: u32 = 2;
+/// cross-run knowledge fields (attached prior, harvested anchor keys);
+/// version 3 dropped the two anchor keys. [`SessionCheckpoint::decode`]
+/// still reads version 2 and discards the keys, so an upgrade strands no
+/// suspended session; [`SessionCheckpoint::encode`] writes only the current
+/// version.
+const VERSION: u32 = 3;
+/// The oldest version [`SessionCheckpoint::decode`] still reads.
+const VERSION_WITH_ANCHOR_KEYS: u32 = 2;
 
 /// A serialized-state snapshot of one session at a decision boundary.
 ///
@@ -67,10 +73,6 @@ pub struct SessionCheckpoint {
     /// killed warm session resumes bit-identically from the checkpoint
     /// alone — independent of whatever the knowledge store holds by then.
     pub(crate) prior: Option<crate::transfer::JobKnowledge>,
-    /// Ratcheted warm-anchor harvest at the snapshot (see
-    /// [`crate::transfer`] for the incumbent/tail safety asymmetry).
-    pub(crate) harvest_incumbent_key: u64,
-    pub(crate) harvest_tail_key: u64,
 }
 
 impl SessionCheckpoint {
@@ -161,8 +163,6 @@ impl SessionCheckpoint {
             }
             None => enc.put_bool(false),
         }
-        enc.put_u64(self.harvest_incumbent_key);
-        enc.put_u64(self.harvest_tail_key);
         enc.finish()
     }
 
@@ -178,7 +178,8 @@ impl SessionCheckpoint {
         if dec.get_bytes()? != MAGIC {
             return Err(CodecError::Invalid("not a Lynceus checkpoint"));
         }
-        if dec.get_u32()? != VERSION {
+        let version = dec.get_u32()?;
+        if version != VERSION && version != VERSION_WITH_ANCHOR_KEYS {
             return Err(CodecError::Invalid("unsupported checkpoint version"));
         }
         let seed = dec.get_u64()?;
@@ -253,8 +254,11 @@ impl SessionCheckpoint {
         } else {
             None
         };
-        let harvest_incumbent_key = dec.get_u64()?;
-        let harvest_tail_key = dec.get_u64()?;
+        if version == VERSION_WITH_ANCHOR_KEYS {
+            // The harvested incumbent and tail keys no decision reads.
+            dec.get_u64()?;
+            dec.get_u64()?;
+        }
         if !dec.is_finished() {
             return Err(CodecError::Invalid("trailing bytes after the checkpoint"));
         }
@@ -275,8 +279,6 @@ impl SessionCheckpoint {
             receipts,
             oracle_state,
             prior,
-            harvest_incumbent_key,
-            harvest_tail_key,
         })
     }
 }
@@ -439,8 +441,6 @@ mod tests {
             }],
             oracle_state: Some(vec![9, 9, 9]),
             prior: None,
-            harvest_incumbent_key: 0,
-            harvest_tail_key: 0,
         }
     }
 
@@ -468,8 +468,6 @@ mod tests {
             job_key: "nightly".to_owned(),
             runs: 1,
             ensemble_seed: 7,
-            last_incumbent_key: 3,
-            last_tail_key: 11,
             observations: vec![crate::transfer::PriorObservation {
                 id: ConfigId(2),
                 runtime_seconds: 8.0,
@@ -477,8 +475,6 @@ mod tests {
                 metrics: vec![1.5],
             }],
         });
-        warm.harvest_incumbent_key = 41;
-        warm.harvest_tail_key = 43;
         let back = SessionCheckpoint::decode(&warm.encode()).unwrap();
         assert_eq!(back, warm);
         // A corrupt nested prior fails the whole checkpoint cleanly.

@@ -84,7 +84,7 @@ pub use codec::{CodecError, Decoder, Encoder};
 pub use constraints::SecondaryConstraint;
 pub use disjoint::{disjoint_optimization, DisjointOutcome};
 pub use faults::{FaultKind, FaultPlan, FaultProfile, OracleFault};
-pub use lynceus::{LynceusOptimizer, PathEngine, PruneStats, DEEP_CUT_LEVELS};
+pub use lynceus::{LynceusOptimizer, PathEngine, PruneStats};
 pub use optimizer::{
     Exploration, OptimizationReport, Optimizer, OptimizerError, OptimizerSettings, ProfileError,
 };

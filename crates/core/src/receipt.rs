@@ -41,13 +41,17 @@ pub struct DecisionReceipt {
     /// Branch-and-bound candidates examined by this decision: `|Γ|` for a
     /// [`crate::PathEngine::BoundAndPrune`] or
     /// [`crate::PathEngine::Batched`] decision at `LA ≥ 1` (Batched is the
-    /// same expansion with pruning off, so its `pruned` and `deep_pruned`
-    /// stay 0); 0 for bootstrap runs, `LA = 0` decisions and the
+    /// same expansion with pruning off, so its `pruned` stays 0); 0 for
+    /// bootstrap runs, `LA = 0` decisions and the
     /// [`crate::PathEngine::NaiveReference`] engine.
     pub candidates: u64,
-    /// Candidates pruned at the candidate level by this decision.
+    /// Candidates this decision pruned: their deep subtree was never
+    /// started.
     pub pruned: u64,
-    /// Candidates cut mid-expansion by the per-branch bound.
+    /// Candidates cut mid-expansion. Always 0: the engine prunes only whole
+    /// candidates (see [`crate::PruneStats::deep_pruned`]). The field stays
+    /// in the checkpoint codec and the wire form, whose layouts it is part
+    /// of.
     pub deep_pruned: u64,
     /// Oracle faults observed (and recovered from) since the previous
     /// receipt.

@@ -515,7 +515,9 @@ struct Slot {
     durable: bool,
     /// The latest checkpoint bytes — the in-memory authoritative copy used
     /// for panic recovery; mirrored to the [`CheckpointStore`] when one is
-    /// attached.
+    /// attached. Dropped when the session turns terminal: only the panic
+    /// recovery of a live session reads it, and
+    /// [`TuningService::restore`] reads the store.
     checkpoint: Option<Vec<u8>>,
     session: Option<LynceusSession<'static>>,
     /// Set by [`TuningService::cancel`] while the session is checked out by
@@ -620,7 +622,8 @@ impl Sched {
             .min()
     }
 
-    /// Records a terminal outcome and queues it for delivery.
+    /// Records a terminal outcome, drops the session's checkpoint bytes and
+    /// queues the outcome for delivery.
     fn finalize(&mut self, index: usize, status: SessionStatus, receipts: Vec<DecisionReceipt>) {
         let outcome = SessionOutcome {
             id: SessionId(index),
@@ -629,6 +632,7 @@ impl Sched {
             receipts,
         };
         self.slots[index].outcome = Some(outcome);
+        self.slots[index].checkpoint = None;
         self.slots[index].finalized = true;
         self.undelivered.push(index);
         self.live -= 1;
@@ -1275,16 +1279,15 @@ fn run_lane(shared: &Shared) {
 
         // The step-limit fuse parks the session *at* the boundary, before
         // stepping: its latest checkpoint already describes this exact state.
+        // The store is where `restore` finds it; the slot keeps no copy.
         if halt_after.is_some_and(|limit| session.steps() >= limit) {
-            let bytes = session.encode_checkpoint();
             if let Some(store) = &store {
-                store.save(&name, &bytes);
+                store.save(&name, &session.encode_checkpoint());
             }
             let steps = session.steps();
             let receipts = session.take_receipts();
             drop(session);
             let mut state = crate::poison::lock(&shared.state);
-            state.slots[index].checkpoint = Some(bytes);
             state.running -= 1;
             state.finalize(index, SessionStatus::Suspended { steps }, receipts);
             drop(state);
@@ -2254,5 +2257,71 @@ mod tests {
             store.is_empty(),
             "finished sessions must not leave stale checkpoints behind"
         );
+    }
+
+    #[test]
+    fn terminal_sessions_hold_no_checkpoint_bytes() {
+        // Durable sessions (the attached store makes every boundary
+        // checkpoint) reaching each terminal state.
+        let store: Arc<dyn CheckpointStore> = Arc::new(crate::checkpoint::MemoryStore::new());
+        let service = TuningService::with_threads(1).with_checkpoints(Arc::clone(&store));
+        let cancelled = service.submit(SessionSpec::new(
+            "cancelled",
+            settings(100_000.0, 1),
+            Box::new(valley_oracle(5.0)),
+            13,
+        ));
+        assert!(service.cancel(cancelled));
+        service.submit(SessionSpec::new(
+            "finished",
+            settings(400.0, 0),
+            Box::new(valley_oracle(3.0)),
+            4,
+        ));
+        service.submit(SessionSpec::new(
+            "failed",
+            settings(500.0, 1),
+            Box::new(EventuallyPoisoned::new(
+                valley_oracle(6.0),
+                6,
+                f64::INFINITY,
+            )),
+            9,
+        ));
+        service.submit(
+            SessionSpec::new(
+                "suspended",
+                settings(500.0, 1),
+                Box::new(valley_oracle(6.0)),
+                21,
+            )
+            .with_step_limit(3),
+        );
+        let outcomes = service.run_until_idle();
+        let states: Vec<&str> = outcomes
+            .iter()
+            .map(|outcome| match &outcome.status {
+                SessionStatus::Finished(_) => "finished",
+                SessionStatus::Failed {
+                    error: SessionError::Cancelled,
+                    ..
+                } => "cancelled",
+                SessionStatus::Failed { .. } => "failed",
+                SessionStatus::Suspended { .. } => "suspended",
+            })
+            .collect();
+        assert_eq!(states, ["cancelled", "finished", "failed", "suspended"]);
+        let state = service.lock_state();
+        for slot in &state.slots {
+            assert!(
+                slot.checkpoint.is_none(),
+                "terminal session {} still holds checkpoint bytes",
+                slot.name
+            );
+        }
+        drop(state);
+        // The suspended session's checkpoint lives on in the store alone.
+        assert!(store.load("suspended").is_some());
+        assert!(store.load("finished").is_none());
     }
 }

@@ -5,18 +5,16 @@
 //! job runs nightly, the same training job retrains weekly — so the cost of
 //! tuning is amortized across executions. This module is the layer that
 //! makes runs N and N+1 of one job talk to each other: a [`JobKnowledge`]
-//! record carries the union of prior observations Σ, the surrogate's seed
-//! material (so run N+1's ensemble extends run N's fits bit-identically via
-//! the Poisson-count `refit_with` machinery), and the last run's
-//! incumbent/tail-anchor `score_key`s (so branch-and-bound pruning bites
-//! from decision one instead of relearning its bounds from zero).
+//! record carries the union of prior observations Σ and the surrogate's
+//! seed material (so run N+1's ensemble extends run N's fits
+//! bit-identically via the Poisson-count `refit_with` machinery).
 //!
-//! Safety asymmetry of the warm anchors: expected-reward tails *decay* as Σ
-//! grows, so a stale (prior-run) tail anchor is **larger** than the live
-//! one — bounds built from it err high, which keeps pruning admissible. A
-//! stale incumbent would err in the unsafe direction (over-pruning), so the
-//! prior incumbent key is carried for statistics and as feasibility
-//! evidence only; the per-decision incumbent cell always restarts at zero.
+//! Nothing else crosses runs. Branch-and-bound pruning needs no carried
+//! state: the replayed observations are part of the next run's Σ, so a
+//! feasible one arms the pruning guard from decision one, and every
+//! decision relearns its incumbent and tail anchor from zero — a stale
+//! incumbent could over-prune, and a stale tail anchor never changed a
+//! decision or a count on the recurring benchmark.
 //!
 //! Serialization reuses the [`crate::codec`] discipline with its own
 //! versioned magic (`KNOW`), and the [`DirStore`] writes temp-then-rename
@@ -35,8 +33,14 @@ use std::sync::Mutex;
 /// File magic of the knowledge format (distinct from the checkpoint's
 /// `LYNC` so the two stores can never be cross-wired silently).
 const MAGIC: [u8; 4] = *b"KNOW";
-/// Format version; bumped on any wire-format change.
-const VERSION: u32 = 1;
+/// Format version; bumped on any wire-format change. Version 2 dropped
+/// version 1's two anchor keys (the last run's incumbent and tail
+/// `score_key`s). [`JobKnowledge::decode`] still reads version 1 and
+/// discards the keys, so an upgrade strands no stored record;
+/// [`JobKnowledge::encode`] writes only the current version.
+const VERSION: u32 = 2;
+/// The oldest version [`JobKnowledge::decode`] still reads.
+const VERSION_WITH_ANCHOR_KEYS: u32 = 1;
 
 /// One prior run's measurement of one configuration, replayed into the next
 /// run's Σ without an oracle charge.
@@ -85,13 +89,6 @@ pub struct JobKnowledge {
     /// this seed, which is what makes the `refit_with` extension chain
     /// bit-identical to a from-scratch fit on the union of observations.
     pub ensemble_seed: u64,
-    /// `score_key` of the last run's final pruning incumbent (statistics
-    /// and feasibility evidence only — never preloaded into the incumbent
-    /// cell, see the module docs for the safety asymmetry).
-    pub last_incumbent_key: u64,
-    /// `score_key` of the last run's measured-tail anchor; preloaded into
-    /// the next run's tail cell (stale tails err high ⇒ admissible).
-    pub last_tail_key: u64,
     /// The union of observations across all recorded runs, in recording
     /// order (order matters: surrogate refits and constraint-model fits
     /// replay it verbatim).
@@ -106,8 +103,6 @@ impl JobKnowledge {
             job_key: job_key.into(),
             runs: 0,
             ensemble_seed,
-            last_incumbent_key: 0,
-            last_tail_key: 0,
             observations: Vec::new(),
         }
     }
@@ -118,8 +113,8 @@ impl JobKnowledge {
         self.observations.is_empty()
     }
 
-    /// Observations whose runtime meets `tmax_seconds` — the feasibility
-    /// evidence that arms warm pruning from decision one.
+    /// Observations whose runtime meets `tmax_seconds` — once replayed,
+    /// the feasible observations that arm warm pruning from decision one.
     #[must_use]
     pub fn feasible_count(&self, tmax_seconds: f64) -> usize {
         self.observations
@@ -147,8 +142,6 @@ impl JobKnowledge {
         enc.put_str(&self.job_key);
         enc.put_u64(self.runs);
         enc.put_u64(self.ensemble_seed);
-        enc.put_u64(self.last_incumbent_key);
-        enc.put_u64(self.last_tail_key);
         enc.put_usize(self.observations.len());
         for o in &self.observations {
             enc.put_usize(o.id.index());
@@ -176,14 +169,18 @@ impl JobKnowledge {
         if dec.get_bytes()? != MAGIC {
             return Err(CodecError::Invalid("not a Lynceus knowledge record"));
         }
-        if dec.get_u32()? != VERSION {
+        let version = dec.get_u32()?;
+        if version != VERSION && version != VERSION_WITH_ANCHOR_KEYS {
             return Err(CodecError::Invalid("unsupported knowledge version"));
         }
         let job_key = dec.get_str()?.to_owned();
         let runs = dec.get_u64()?;
         let ensemble_seed = dec.get_u64()?;
-        let last_incumbent_key = dec.get_u64()?;
-        let last_tail_key = dec.get_u64()?;
+        if version == VERSION_WITH_ANCHOR_KEYS {
+            // The last run's incumbent and tail keys no decision reads.
+            dec.get_u64()?;
+            dec.get_u64()?;
+        }
         let observations_len = dec.get_usize()?;
         let mut observations = Vec::with_capacity(observations_len.min(4096));
         for _ in 0..observations_len {
@@ -211,8 +208,6 @@ impl JobKnowledge {
             job_key,
             runs,
             ensemble_seed,
-            last_incumbent_key,
-            last_tail_key,
             observations,
         })
     }
@@ -341,8 +336,6 @@ mod tests {
             job_key: "nightly-etl".to_owned(),
             runs: 2,
             ensemble_seed: 41,
-            last_incumbent_key: 77,
-            last_tail_key: 99,
             observations: vec![
                 PriorObservation {
                     id: ConfigId(3),

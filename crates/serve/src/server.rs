@@ -603,8 +603,8 @@ fn cancel(shared: &ServerShared, raw_id: &str) -> Response {
 }
 
 /// `GET /v1/jobs/{key}` — the knowledge-stats snapshot for a recurring
-/// job: how many runs have harvested into the store, how much prior
-/// evidence the next run will replay, and the warm anchor keys. `404`
+/// job: how many runs have harvested into the store, the job's ensemble
+/// seed, and how much prior evidence the next run will replay. `404`
 /// when the key has never harvested (or no store is attached), so a
 /// client can distinguish "cold next run" without decoding anything.
 fn job_stats(shared: &ServerShared, key: &str) -> Response {
@@ -623,14 +623,6 @@ fn job_stats(shared: &ServerShared, key: &str) -> Response {
             (
                 "observations".to_owned(),
                 Value::from_usize(knowledge.observations.len()),
-            ),
-            (
-                "last_incumbent_key".to_owned(),
-                Value::from_u64(knowledge.last_incumbent_key),
-            ),
-            (
-                "last_tail_key".to_owned(),
-                Value::from_u64(knowledge.last_tail_key),
             ),
         ]),
     )

@@ -113,10 +113,10 @@
 //!
 //! * **Job knowledge** — a [`core::JobKnowledge`] record per job key:
 //!   every prior observation (config id, runtime, cost, secondary
-//!   metrics), the ensemble seed the chain fits under, the last run's
-//!   incumbent/tail-anchor `score_key`s and a run counter, serialized
-//!   through a versioned `KNOW` codec that rejects truncation and
-//!   non-finite payloads. Stores implement [`core::KnowledgeStore`]
+//!   metrics), the ensemble seed the chain fits under and a run counter,
+//!   serialized through a versioned `KNOW` codec that rejects truncation
+//!   and non-finite payloads (and still reads the previous version, whose
+//!   two anchor keys it discards). Stores implement [`core::KnowledgeStore`]
 //!   (in-memory [`core::transfer::MemoryStore`], crash-safe
 //!   temp-file+atomic-rename [`core::transfer::DirStore`]).
 //! * **Warm starts, exactly** — a session whose [`core::SessionSpec`]
@@ -129,11 +129,10 @@
 //!   (`tests/recurring.rs` pins K=3 chains across
 //!   `PathEngine::{BoundAndPrune, Batched, NaiveReference}`, store
 //!   backends, and mid-run kill/resume).
-//! * **Warm anchors** — the prior run's tail anchor and feasibility
-//!   evidence arm branch-and-bound pruning from the first decision
-//!   (anchors only ever shrink effort, never change decisions: stale
-//!   tails err high, and incumbents are *not* carried — a stale incumbent
-//!   could over-prune). The committed `BENCH_recurring.json`
+//! * **Warm pruning** — a replayed feasible observation is part of Σ, so
+//!   it arms branch-and-bound pruning from the first decision. Nothing
+//!   else crosses runs: every decision relearns its incumbent and tail
+//!   anchor from zero. The committed `BENCH_recurring.json`
 //!   (`fig_recurring` bench, gated by `bench_check::recurring_violations`)
 //!   measures a K=3 scout chain under a tight constraint: cost-to-target
 //!   3.36 → 0.00 dollars by run 2, and first-decision pruning 0% cold
@@ -177,7 +176,11 @@
 //!   ([`core::codec`]); `TuningService::restore` resumes a killed session
 //!   **bit-identically** to the uninterrupted run, on every engine and
 //!   thread count (enforced by the `durability` and `fault_matrix` suites
-//!   and the CI `chaos` job).
+//!   and the CI `chaos` job). Decoders read the previous format version
+//!   too, so an upgrade strands no suspended session: golden blobs under
+//!   `tests/fixtures/formats/` pin a previous-version checkpoint and
+//!   knowledge record (`tests/recurring.rs`). A terminal session's slot
+//!   drops its checkpoint bytes.
 //! * **Decision receipts** — every profiling run appends a
 //!   [`core::DecisionReceipt`] (chosen configuration, Γ size, incumbent, β
 //!   before/after, prune counters, faults observed, retries consumed);
@@ -236,55 +239,39 @@
 //!   approximations.
 //! * **Best-first branch-and-bound** — the production engine
 //!   (`PathEngine::BoundAndPrune`) expands every candidate's first
-//!   speculation level exactly, assembles an upper bound on the candidate's
-//!   reward-to-cost score from those exact first-step quantities plus a
-//!   drift-allowance (κ, default 1.5, configurable via
-//!   `LynceusOptimizer::with_drift_allowance`; κ = 1.0 prunes more with
-//!   thinner margins and is divergence-free on the original validation
-//!   matrix, though one landscape of the wider 60-case sweep defeats it —
-//!   which is why 1.5 ships) times the largest deep-tail reward measured
-//!   among the candidates already expanded this decision (tails cluster
-//!   tightly within a decision, so the measured anchor tracks them across
-//!   regimes), and dispatches candidates bound-first
-//!   (`core::pool::run_order_with`) while sharing the best exact score seen
-//!   so far through one atomic cell (`core::acquisition::score_key`). A
-//!   candidate whose bound cannot beat that incumbent skips its
-//!   `k² + … + k^LA` deep recursion — the exponential part of the
-//!   `|Γ|·k^LA` branch growth — which is what makes `LA ≥ 3` affordable.
-//!   Candidates that *do* expand are pruned **per branch** as well: every
-//!   selected step of the deep recursion folds its exact discounted
-//!   reward/cost into an accounted prefix, and an in-search bound — the
-//!   prefix plus a calibrated remaining-tail allowance
-//!   (`DEEP_TAIL_SLACK·κ·T`) over the exactly-accounted cost — is
-//!   re-tested at every speculation level, abandoning the rest of the
-//!   subtree the moment the candidate can no longer beat the incumbent
-//!   (per-level cut counters: `core::PruneStats::deep_cuts`). The
-//!   in-search allowance is calibrated the same way κ was: with no extra
-//!   slack four landscapes of the wide 60-case sweep diverge (the exact
-//!   denominator strips the candidate bound's self-scaling cost headroom),
-//!   2.0 is the measured minimum, and 3.0 ships. Pruning is disabled for
-//!   decisions taken before the first feasible observation (the fallback
-//!   incumbent can grow along a speculated path there), at `LA = 1` the
-//!   bound *is* the exact score, and every pruned run is pinned
+//!   speculation level exactly and bounds the candidate's reward-to-cost
+//!   score by those exact first-step quantities plus a fixed drift
+//!   allowance (κ = 1.5, the constant `PRUNE_TAIL_DRIFT`) times the
+//!   largest deep-tail reward measured among the candidates already
+//!   expanded this decision (tails cluster tightly within a decision, so
+//!   the measured anchor tracks them across regimes). It dispatches
+//!   candidates best-first (`core::pool::run_order_with`) while sharing
+//!   the best exact score seen so far through one atomic cell
+//!   (`core::acquisition::score_key`). A candidate whose bound cannot
+//!   beat that incumbent skips its `k² + … + k^LA` deep recursion — the
+//!   exponential part of the `|Γ|·k^LA` branch growth — which is what
+//!   makes `LA ≥ 3` affordable; a candidate that starts its recursion
+//!   finishes it. The bound is a calibration, not a proof. Pruning is
+//!   disabled for decisions taken before the first feasible observation
+//!   (the fallback incumbent can grow along a speculated path there), at
+//!   `LA = 1` there is no tail to bound, and the `bound_and_prune`,
+//!   `engine_equivalence` and `pool_matrix` suites pin pruned runs
 //!   bit-identical to the exhaustive engine (`PathEngine::Batched`, the
-//!   same expansion with pruning switched off) by the `bound_and_prune`,
-//!   `engine_equivalence` and `pool_matrix` suites — across seeds,
-//!   lookaheads, switching models and worker counts. The committed
-//!   `BENCH_lookahead.json` (from the `fig6_lookahead` bench, which
-//!   records the CPU count and per-level pruning cells per sweep cell)
-//!   shows the deep cuts biting hardest at `LA = 2` on a warm 128-point
-//!   synthetic space — 78% of candidates skipped or cut (74% outright
-//!   candidate-level + 4% abandoned mid-expansion) — while at `LA = 3`
-//!   the candidate-level bound already skips 62.7% and the in-search
-//!   probe adds a handful more (62.8% combined; at `LA = 4`, where
-//!   exhaustive expansion is intractable, the pruned run completes with
-//!   38% of candidates skipped). The warm-space per-decision speedup over
-//!   exhaustive expansion is 2–3× at `LA ∈ {2, 3}` (the artifact records
-//!   best-of-two samples; the host's timing noise makes finer point
-//!   estimates unstable across runs). Cold-start runs on the Scout
-//!   dataset prune a more modest 8–22% with no deep cuts — early-run
-//!   scores cluster too tightly to separate — and run at ~1.0× parity,
-//!   probe accounting included.
+//!   same expansion with pruning switched off) across seeds, lookaheads,
+//!   switching models and worker counts. Outside those suites the
+//!   calibration can fail: 4 of the 690 sessions in perfbench's
+//!   scout-cherrypick prefix at seed 11 decide differently from
+//!   exhaustive expansion (ROADMAP item 1). The committed
+//!   `BENCH_lookahead.json` (from the `fig6_lookahead` bench, which runs
+//!   its sweep sequentially so the counts are exact, and records the CPU
+//!   count) shows the bound on a warm 128-point synthetic space skipping
+//!   74% of candidates at `LA = 2` and 62% at `LA = 3` (at `LA = 4`,
+//!   where exhaustive expansion is intractable, the pruned run completes
+//!   with 38% skipped), for a per-decision speedup over exhaustive
+//!   expansion of about 2–2.3× (best-of-two samples; the host's timing noise
+//!   makes finer point estimates unstable across runs). Cold-start runs
+//!   on the Scout dataset prune a more modest 8–22% — early-run scores
+//!   cluster too tightly to separate — and run at ~1.0–1.2×.
 //!
 //! Per-decision state lives in a Driver-owned arena (prediction buffers, Γ
 //! extraction, bound/dispatch buffers, per-worker scratch recycling, and an

@@ -191,61 +191,6 @@ fn engines_agree_under_infinite_switching_costs_at_lookahead_two_and_three() {
     }
 }
 
-/// The measured κ trade-off the ROADMAP records: the tightest allowance
-/// κ = 1.0 prunes more candidates with thinner empirical margins, and on
-/// the original validation matrix (the same seeded generators as the
-/// three-engine suite above, LA ∈ {1, 2, 3}, with and without switching
-/// costs) it stays divergence-free against the exhaustive engine. The
-/// broader folded-in sweep is where the margin finally runs out — see the
-/// note on `pruned_matches_exhaustive_on_the_wide_random_matrix`.
-#[test]
-fn drift_allowance_one_is_divergence_free_on_the_original_matrix() {
-    let mut rng = SeededRng::new(0xB0B5);
-    for lookahead in [1usize, 2, 3] {
-        let cases = if lookahead == 3 { 3 } else { 5 };
-        for case in 0..cases {
-            let oracle = random_oracle(&mut rng);
-            let settings = settings(&mut rng, lookahead);
-            let seed = 1 + case as u64 * 7;
-            let batched = LynceusOptimizer::new(settings.clone())
-                .with_engine(PathEngine::Batched)
-                .optimize(&oracle, seed);
-            let tight = LynceusOptimizer::new(settings)
-                .with_drift_allowance(1.0)
-                .optimize(&oracle, seed);
-            assert_eq!(
-                tight, batched,
-                "κ=1.0 diverged at LA={lookahead}, case {case}, seed {seed}"
-            );
-        }
-    }
-    let mut rng = SeededRng::new(0x5EED);
-    for case in 0..3u64 {
-        let oracle = random_oracle(&mut rng);
-        let settings = settings(&mut rng, 3);
-        let switching = || {
-            Box::new(FnSwitching(
-                |from: Option<ConfigId>, to: ConfigId| match from {
-                    Some(f) if f != to => 2.0 + (f.index().abs_diff(to.index())) as f64 * 0.5,
-                    _ => 0.0,
-                },
-            ))
-        };
-        let batched = LynceusOptimizer::new(settings.clone())
-            .with_engine(PathEngine::Batched)
-            .with_switching_cost(switching())
-            .optimize(&oracle, 11 + case);
-        let tight = LynceusOptimizer::new(settings)
-            .with_drift_allowance(1.0)
-            .with_switching_cost(switching())
-            .optimize(&oracle, 11 + case);
-        assert_eq!(
-            tight, batched,
-            "κ=1.0 diverged under switching, case {case}"
-        );
-    }
-}
-
 #[test]
 fn pruning_reports_skipped_candidates_and_matches_exhaustive_counts() {
     // A wider valley with enough budget that the decision loop runs long
@@ -274,15 +219,10 @@ fn pruning_reports_skipped_candidates_and_matches_exhaustive_counts() {
         "no candidate was pruned over {} candidates at LA=3",
         stats.candidates
     );
+    assert!(stats.pruned <= stats.candidates);
     assert!(stats.pruned_fraction() <= 1.0);
-    // Per-branch deep pruning adds to — never subtracts from — the
-    // candidate-level counts, and the totals stay coherent.
-    assert!(stats.total_pruned() >= stats.pruned);
-    assert!(stats.total_pruned() <= stats.candidates);
-    assert!(
-        stats.deep_pruned() > 0,
-        "no in-search cut fired in the warm LA=3 regime: {stats:?}"
-    );
+    // A candidate that starts its deep recursion finishes it.
+    assert_eq!(stats.deep_pruned(), 0);
     // And the pruned run is still bit-identical to exhaustive expansion.
     let exhaustive = LynceusOptimizer::new(settings)
         .with_engine(PathEngine::Batched)
@@ -316,16 +256,9 @@ fn broad_random_oracle(rng: &mut SeededRng) -> TableOracle {
 
 /// The wide randomized sweep: 60 random landscapes at LA ∈ {2, 3}, half
 /// with switching costs and tight budgets where speculated paths die early,
-/// pruned-vs-batched at the shipped drift allowance. (Folded in from the
-/// former `tests/review_probe.rs` reviewer probe.)
-///
-/// Measured trade-off note: κ = 1.0 passes this sweep on 119 of its 120
-/// engine pairs but *diverges on one* (case 45: LA = 3, switching costs, a
-/// binding `tmax`) — the thin-margin failure mode the κ = 1.5 default
-/// exists to absorb. The κ = 1.0 divergence-free guarantee therefore covers
-/// the original validation matrix (see
-/// `drift_allowance_one_is_divergence_free_on_the_original_matrix`), not
-/// this broader one.
+/// pruned-vs-batched at the fixed drift allowance κ = 1.5. A tighter
+/// κ = 1.0 diverged on one of these landscapes (case 45: LA = 3, switching
+/// costs, a binding `tmax`), which is why the allowance carries a margin.
 #[test]
 fn pruned_matches_exhaustive_on_the_wide_random_matrix() {
     let mut rng = SeededRng::new(0xDEAD_BEEF);
@@ -350,11 +283,8 @@ fn pruned_matches_exhaustive_on_the_wide_random_matrix() {
         };
         let with_switching = case % 3 == 0;
         let seed = 1 + case * 13;
-        let make = |engine: PathEngine, kappa: Option<f64>| {
+        let make = |engine: PathEngine| {
             let mut optimizer = LynceusOptimizer::new(settings.clone()).with_engine(engine);
-            if let Some(kappa) = kappa {
-                optimizer = optimizer.with_drift_allowance(kappa);
-            }
             if with_switching {
                 optimizer = optimizer.with_switching_cost(Box::new(FnSwitching(
                     |from: Option<ConfigId>, to: ConfigId| match from {
@@ -365,8 +295,8 @@ fn pruned_matches_exhaustive_on_the_wide_random_matrix() {
             }
             optimizer.optimize(&oracle, seed)
         };
-        let batched = make(PathEngine::Batched, None);
-        if make(PathEngine::BoundAndPrune, None) != batched {
+        let batched = make(PathEngine::Batched);
+        if make(PathEngine::BoundAndPrune) != batched {
             divergences.push(format!(
                 "case {case}: LA={lookahead} budget={budget:.0} tmax={tmax:.0} \
                  switching={with_switching} seed={seed}"

@@ -449,7 +449,7 @@ fn starving_sessions_are_served_longest_waiting_first_not_by_policy() {
 fn prune_stats_snapshots_stay_decision_consistent_under_concurrency() {
     // A shared optimizer stepped from several threads while another thread
     // polls (and occasionally resets) the pruning counters: every snapshot
-    // must describe a whole number of decisions — `total_pruned() ≤
+    // must describe a whole number of decisions — `pruned ≤
     // candidates`, `candidates ≥ decisions` — never a torn intermediate
     // from a half-applied decision or reset, which the previous field-wise
     // relaxed atomics could expose.
@@ -476,7 +476,7 @@ fn prune_stats_snapshots_stay_decision_consistent_under_concurrency() {
         while stop.load(Ordering::Relaxed) < 2 {
             let stats = optimizer.prune_stats();
             assert!(
-                stats.total_pruned() <= stats.candidates,
+                stats.pruned <= stats.candidates,
                 "torn snapshot: more pruned than candidates: {stats:?}"
             );
             assert!(
@@ -489,10 +489,7 @@ fn prune_stats_snapshots_stay_decision_consistent_under_concurrency() {
                 assert_eq!(
                     {
                         let s = optimizer.prune_stats();
-                        (
-                            s.total_pruned() <= s.candidates,
-                            s.candidates >= s.decisions,
-                        )
+                        (s.pruned <= s.candidates, s.candidates >= s.decisions)
                     },
                     (true, true),
                     "snapshot right after a reset must still be whole"
@@ -503,7 +500,7 @@ fn prune_stats_snapshots_stay_decision_consistent_under_concurrency() {
         assert!(checked > 0);
         // The final quiescent snapshot is whole too.
         let final_stats = optimizer.prune_stats();
-        assert!(final_stats.total_pruned() <= final_stats.candidates);
+        assert!(final_stats.pruned <= final_stats.candidates);
     });
 }
 

@@ -634,6 +634,16 @@ fn job_key_sessions_transfer_knowledge_identically_over_the_wire() {
         Some(900)
     );
     assert!(stats.get("observations").and_then(|v| v.as_u64()) > Some(0));
+    let fields: Vec<&str> = stats
+        .as_obj()
+        .expect("a JSON object")
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(
+        fields,
+        ["v", "job_key", "runs", "ensemble_seed", "observations"]
+    );
     // …an unharvested key is a 404, and wrong methods are 405.
     assert_eq!(client.get("/v1/jobs/stranger").expect("fetch").status, 404);
     assert_eq!(

@@ -1,6 +1,6 @@
 //! Recurring-job acceptance suite: the cross-run knowledge layer.
 //!
-//! Four properties are pinned here:
+//! Five properties are pinned here:
 //!
 //! 1. **Codec robustness** — seeded [`JobKnowledge`] records (empty,
 //!    single-run, K-run chained, adversarial floats) round-trip bit-exactly
@@ -17,11 +17,15 @@
 //!    resumed from its checkpoint finishes bit-identical to the
 //!    uninterrupted warm run, and the suspension itself never harvests
 //!    (the checkpoint carries the attached prior instead).
+//! 5. **Format upgrades** — golden blobs written by the previous formats
+//!    (a KNOW v1 record, a checkpoint v2 blob) still decode, and the
+//!    suspended session they describe resumes bit-identically.
 
 use lynceus::core::transfer::{DirStore, MemoryStore};
 use lynceus::core::{
-    DecisionReceipt, JobKnowledge, KnowledgeStore, LynceusOptimizer, OptimizationReport, Optimizer,
-    OptimizerSettings, PathEngine, PriorObservation, SessionSpec, SessionStatus, TuningService,
+    CheckpointStore, CodecError, DecisionReceipt, JobKnowledge, KnowledgeStore, LynceusOptimizer,
+    OptimizationReport, Optimizer, OptimizerSettings, PathEngine, PriorObservation,
+    SessionCheckpoint, SessionSpec, SessionStatus, TuningService,
 };
 use lynceus::space::{ConfigId, SpaceBuilder};
 use std::sync::Arc;
@@ -310,8 +314,6 @@ impl SweepRng {
 fn sweep_record(rng: &mut SweepRng, chained: u64) -> JobKnowledge {
     let mut record = JobKnowledge::new(format!("job-{}", rng.next() % 97), rng.next());
     record.runs = chained;
-    record.last_incumbent_key = rng.next();
-    record.last_tail_key = rng.next();
     for _ in 0..(chained * (rng.next() % 6 + 1)) {
         record.observations.push(PriorObservation {
             id: ConfigId((rng.next() % 40) as usize),
@@ -369,4 +371,110 @@ fn seeded_codec_sweep_round_trips_and_rejects_adversarial_floats() {
         metrics: Vec::new(),
     });
     assert!(JobKnowledge::decode(&negative.encode()).is_err());
+}
+
+/// Golden blobs written by the previous formats, which both carried two
+/// anchor keys the current formats dropped: the KNOW v1 record run 1 of
+/// the chain above harvests, and the checkpoint v2 blob of warm run 2
+/// suspended by `with_step_limit(6)`. At `LA = 1` nothing is pruned, so
+/// the sessions they describe decide exactly as they did when written.
+const KNOW_V1: &[u8] = include_bytes!("fixtures/formats/know_v1.bin");
+const CHECKPOINT_V2: &[u8] = include_bytes!("fixtures/formats/checkpoint_v2.bin");
+/// The step at which the checkpoint fixture's session was suspended.
+const FIXTURE_SUSPENDED_AT: usize = 6;
+
+/// The version word of a KNOW or checkpoint blob: it follows the magic's
+/// 8-byte length prefix and 4 bytes.
+fn version_of(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[12..16].try_into().expect("four version bytes"))
+}
+
+fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
+    let mut patched = bytes.to_vec();
+    patched[12..16].copy_from_slice(&version.to_le_bytes());
+    patched
+}
+
+#[test]
+fn previous_format_fixtures_decode_and_resume_bit_identically() {
+    // KNOW v1 decodes, discarding its anchor keys; encoding writes v2.
+    assert_eq!(version_of(KNOW_V1), 1);
+    let knowledge = JobKnowledge::decode(KNOW_V1).expect("a KNOW v1 record decodes");
+    assert_eq!(knowledge.job_key, JOB);
+    assert_eq!(knowledge.runs, 1);
+    assert_eq!(knowledge.ensemble_seed, run_seed(0));
+    assert!(!knowledge.observations.is_empty());
+    let upgraded = knowledge.encode();
+    assert_eq!(version_of(&upgraded), 2);
+    assert_eq!(upgraded.len() + 16, KNOW_V1.len(), "two u64 keys dropped");
+    assert_eq!(JobKnowledge::decode(&upgraded).unwrap(), knowledge);
+
+    // Checkpoint v2 decodes, nested KNOW v1 prior included; encoding
+    // writes v3 (two keys dropped by the checkpoint, two by its prior).
+    assert_eq!(version_of(CHECKPOINT_V2), 2);
+    let checkpoint =
+        SessionCheckpoint::decode(CHECKPOINT_V2).expect("a checkpoint v2 blob decodes");
+    assert_eq!(checkpoint.steps(), FIXTURE_SUSPENDED_AT as u64);
+    let upgraded = checkpoint.encode();
+    assert_eq!(version_of(&upgraded), 3);
+    assert_eq!(upgraded.len() + 32, CHECKPOINT_V2.len());
+    assert_eq!(SessionCheckpoint::decode(&upgraded).unwrap(), checkpoint);
+
+    // The uninterrupted warm run 2, starting from the v1 record.
+    let warm_store = || -> Arc<dyn KnowledgeStore> {
+        let store = MemoryStore::new();
+        store.save(JOB, KNOW_V1);
+        Arc::new(store)
+    };
+    let service = TuningService::with_threads(2).with_knowledge_store(warm_store());
+    service.submit(chain_spec(PathEngine::BoundAndPrune, 1));
+    let reference = service.run().remove(0);
+    assert!(reference.report().is_some(), "{:?}", reference.status);
+    assert_eq!(
+        checkpoint.receipts(),
+        &reference.receipts[..FIXTURE_SUSPENDED_AT],
+        "the fixture's decisions differ from this code's"
+    );
+
+    // Resuming the v2 checkpoint finishes bit-identically and harvests a
+    // v2 record.
+    let knowledge_store = warm_store();
+    let checkpoints: Arc<dyn CheckpointStore> = Arc::new(lynceus::core::MemoryStore::new());
+    checkpoints.save(
+        &format!("recurring-{:?}-run1", PathEngine::BoundAndPrune),
+        CHECKPOINT_V2,
+    );
+    let revived = TuningService::with_threads(2)
+        .with_knowledge_store(Arc::clone(&knowledge_store))
+        .with_checkpoints(checkpoints);
+    revived.restore(chain_spec(PathEngine::BoundAndPrune, 1));
+    let resumed = revived.run().remove(0);
+    assert_eq!(resumed.report(), reference.report());
+    assert_eq!(resumed.receipts, reference.receipts);
+    let harvested = knowledge_store.load(JOB).expect("the resume harvested");
+    assert_eq!(version_of(&harvested), 2);
+    assert_eq!(JobKnowledge::decode(&harvested).unwrap().runs, 2);
+
+    // Truncated fixtures and unknown versions still fail cleanly.
+    for cut in [0, 15, KNOW_V1.len() / 2, KNOW_V1.len() - 1] {
+        assert!(JobKnowledge::decode(&KNOW_V1[..cut]).is_err(), "cut {cut}");
+    }
+    for cut in [0, 15, CHECKPOINT_V2.len() / 2, CHECKPOINT_V2.len() - 1] {
+        assert!(
+            SessionCheckpoint::decode(&CHECKPOINT_V2[..cut]).is_err(),
+            "cut {cut}"
+        );
+    }
+    for version in [0, 3] {
+        assert_eq!(
+            JobKnowledge::decode(&with_version(KNOW_V1, version)),
+            Err(CodecError::Invalid("unsupported knowledge version"))
+        );
+    }
+    for version in [1, 4] {
+        assert_eq!(
+            SessionCheckpoint::decode(&with_version(CHECKPOINT_V2, version)),
+            Err(CodecError::Invalid("unsupported checkpoint version"))
+        );
+    }
 }
