@@ -16,6 +16,12 @@
 //! cell publishes `"identical": null` and the pruned fraction is the
 //! recorded evidence.
 //!
+//! Each engine is timed in 3 interleaved samples. A cell's `speedup` is the
+//! median of the 3 per-sample exhaustive/pruned ratios, published with their
+//! range as `speedup_min`/`speedup_max`; when that range is wider than the
+//! ratio's distance from 1, the effect is inside the noise and `speedup` is
+//! `null` (`bench_check` rejects a ratio published otherwise).
+//!
 //! Results go to `BENCH_lookahead.json` in the artifact directory (see
 //! `lynceus_bench::artifact_dir`), alongside the CPU count so multicore
 //! re-measurement is a re-run away. The Figure 6 CNO CDFs are
@@ -40,7 +46,11 @@ struct Cell {
     decisions: u64,
     pruned_ns_per_decision: f64,
     exhaustive_ns_per_decision: Option<f64>,
+    /// The median per-sample ratio; `None` when the exhaustive engine was
+    /// not run or the ratio's range is wider than its effect.
     speedup: Option<f64>,
+    /// The range of the per-sample ratios.
+    speedup_range: Option<(f64, f64)>,
     stats: PruneStats,
     /// `Some(true)` once the exhaustive report matched; `None` when the
     /// exhaustive run was skipped and nothing was compared.
@@ -73,37 +83,35 @@ fn wide_settings(lookahead: usize) -> OptimizerSettings {
     }
 }
 
-/// Times a run (best of two samples — container timing noise regularly
-/// exceeds ±15%, and a single polluted sample would land in the committed
-/// artifact as a phantom regression) and returns nanoseconds per decision
-/// plus the report. The two samples double as a free determinism check.
+/// Timed samples per engine and sweep cell.
+const SAMPLES: usize = 3;
+
+/// Times one run and returns nanoseconds per decision, the report, the
+/// prune counters and the decision count.
 fn timed_run(
     oracle: &dyn CostOracle,
     settings: &OptimizerSettings,
     engine: PathEngine,
     seed: u64,
 ) -> (f64, OptimizationReport, PruneStats, u64) {
-    let mut best: Option<(f64, OptimizationReport, PruneStats)> = None;
-    for _ in 0..2 {
-        let optimizer = LynceusOptimizer::new(settings.clone()).with_engine(engine);
-        let start = Instant::now();
-        let report = optimizer.optimize(oracle, seed);
-        let elapsed = start.elapsed().as_nanos() as f64;
-        let stats = optimizer.prune_stats();
-        if let Some((best_ns, best_report, _)) = &best {
-            assert_eq!(
-                report, *best_report,
-                "a repeated run produced a different report"
-            );
-            if elapsed >= *best_ns {
-                continue;
-            }
-        }
-        best = Some((elapsed, report, stats));
-    }
-    let (elapsed, report, stats) = best.expect("at least one sample");
+    let optimizer = LynceusOptimizer::new(settings.clone()).with_engine(engine);
+    let start = Instant::now();
+    let report = optimizer.optimize(oracle, seed);
+    let elapsed = start.elapsed().as_nanos() as f64;
     let decisions = (report.explorations.iter().filter(|e| !e.bootstrap).count() + 1) as u64;
-    (elapsed / decisions as f64, report, stats, decisions)
+    (
+        elapsed / decisions as f64,
+        report,
+        optimizer.prune_stats(),
+        decisions,
+    )
+}
+
+/// The median of an odd number of samples.
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 /// The sweep's settings: `parallel_paths` off, for reproducible counts.
@@ -121,30 +129,70 @@ fn sweep_cell(
     seed: u64,
     run_exhaustive: bool,
 ) -> Cell {
-    let (pruned_ns, pruned_report, stats, decisions) =
-        timed_run(oracle, settings, PathEngine::BoundAndPrune, seed);
-    let (exhaustive_ns, identical) = if run_exhaustive {
-        let (ns, exhaustive_report, _, _) = timed_run(oracle, settings, PathEngine::Batched, seed);
+    let mut pruned_ns = Vec::with_capacity(SAMPLES);
+    let mut exhaustive_ns = Vec::with_capacity(SAMPLES);
+    let mut first: Option<(OptimizationReport, PruneStats, u64)> = None;
+    let time_exhaustive = |pruned_report: &OptimizationReport| {
+        let (ns, report, _, _) = timed_run(oracle, settings, PathEngine::Batched, seed);
         assert_eq!(
-            pruned_report, exhaustive_report,
+            *pruned_report, report,
             "bound-and-prune diverged from exhaustive expansion on {space} at \
              LA={}, seed {seed}",
             settings.lookahead
         );
-        (Some(ns), Some(true))
-    } else {
+        ns
+    };
+    for sample in 0..SAMPLES {
+        // Interleave the engines, alternating which runs first, so host
+        // drift within a sample favours neither. Sample 0 runs the pruned
+        // engine first, so its report is there to compare against.
+        let exhaustive_first = run_exhaustive && sample % 2 == 1;
+        if exhaustive_first {
+            let (reference, _, _) = first.as_ref().expect("sample 0 ran the pruned engine");
+            exhaustive_ns.push(time_exhaustive(reference));
+        }
+        let (ns, report, stats, decisions) =
+            timed_run(oracle, settings, PathEngine::BoundAndPrune, seed);
+        pruned_ns.push(ns);
+        // Sequential runs repeat exactly, pruning counts included.
+        let (reference, reference_stats, _) =
+            first.get_or_insert_with(|| (report.clone(), stats, decisions));
+        assert_eq!(
+            report, *reference,
+            "a repeated run produced a different report"
+        );
+        assert_eq!(stats, *reference_stats, "a repeated run pruned differently");
+        if run_exhaustive && !exhaustive_first {
+            exhaustive_ns.push(time_exhaustive(reference));
+        }
+    }
+    let (_, stats, decisions) = first.expect("at least one sample");
+    let ratios: Vec<f64> = exhaustive_ns
+        .iter()
+        .zip(&pruned_ns)
+        .map(|(exhaustive, pruned)| exhaustive / pruned)
+        .collect();
+    let (speedup, speedup_range) = if ratios.is_empty() {
         (None, None)
+    } else {
+        let ratio = median(&ratios);
+        let low = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+        let high = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // A ratio whose spread exceeds its effect says nothing either way.
+        let resolved = high - low <= (ratio - 1.0).abs();
+        (resolved.then_some(ratio), Some((low, high)))
     };
     Cell {
         space,
         lookahead: settings.lookahead,
         seed,
         decisions,
-        pruned_ns_per_decision: pruned_ns,
-        exhaustive_ns_per_decision: exhaustive_ns,
-        speedup: exhaustive_ns.map(|ns| ns / pruned_ns),
+        pruned_ns_per_decision: median(&pruned_ns),
+        exhaustive_ns_per_decision: (!exhaustive_ns.is_empty()).then(|| median(&exhaustive_ns)),
+        speedup,
+        speedup_range,
         stats,
-        identical,
+        identical: run_exhaustive.then_some(true),
     }
 }
 
@@ -250,11 +298,15 @@ fn main() {
     }
 
     for cell in &cells {
-        let speedup = cell
-            .speedup
-            .map_or("    (exhaustive not run)".to_owned(), |s| {
-                format!("{s:>6.2}x vs exhaustive")
-            });
+        let speedup = match (cell.speedup, cell.speedup_range) {
+            (Some(s), Some((low, high))) => {
+                format!("{s:>6.2}x vs exhaustive [{low:.2}, {high:.2}]")
+            }
+            (None, Some((low, high))) => {
+                format!("  within noise vs exhaustive [{low:.2}, {high:.2}]")
+            }
+            _ => "    (exhaustive not run)".to_owned(),
+        };
         println!(
             "{:<24} LA={} seed={} {:>12.0} ns/decision {speedup}  pruned {:>3.0}% of {} candidates over {} decisions",
             cell.space,
@@ -296,6 +348,16 @@ fn main() {
                     .map_or(Value::Null, Value::from_f64),
             ),
             ("speedup", cell.speedup.map_or(Value::Null, Value::from_f64)),
+            (
+                "speedup_min",
+                cell.speedup_range
+                    .map_or(Value::Null, |(low, _)| Value::from_f64(low)),
+            ),
+            (
+                "speedup_max",
+                cell.speedup_range
+                    .map_or(Value::Null, |(_, high)| Value::from_f64(high)),
+            ),
             ("candidates", Value::from_u64(cell.stats.candidates)),
             ("pruned", Value::from_u64(cell.stats.pruned)),
             (

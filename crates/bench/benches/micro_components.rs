@@ -15,7 +15,10 @@ use lynceus_core::acquisition::constrained_ei;
 use lynceus_core::{LynceusOptimizer, Optimizer, PathEngine, Pool};
 use lynceus_datasets::scout;
 use lynceus_experiments::ExperimentConfig;
-use lynceus_learners::{BaggingEnsemble, FeatureMatrix, Prediction, Surrogate, TrainingSet};
+use lynceus_learners::{
+    BaggingEnsemble, FeatureMatrix, Prediction, RouteWorkspace, SpeculativeFit, Surrogate,
+    TrainingSet,
+};
 use lynceus_math::quadrature::{gauss_hermite, GaussHermiteRule};
 use lynceus_math::rng::SeededRng;
 use lynceus_serve::json::Value;
@@ -175,17 +178,47 @@ fn main() {
         "flat block traversal must be bit-identical to the pointer walk"
     );
 
-    let mut memo = lynceus_learners::RowValueMemo::new();
-    fitted.predict_rows_memo(&matrix, &rows, &mut batch_out, &mut memo);
-    measurements.push(bench("bagging_predict_rows_memo_256x5", 200, || {
-        fitted.predict_rows_memo(
+    // The per-state work of the speculation engine: one speculated
+    // observation folded into the surrogate, then predictions at the row
+    // block. The engine extends a tree-free fit; the baseline builds the
+    // ensemble `refit_with` returns and predicts from it. Both must agree
+    // bit-for-bit — checked below before the numbers are persisted.
+    let sample = [10.0, 20.0, 30.0, 40.0, 50.0];
+    let mut refit_out = Vec::new();
+    measurements.push(bench(
+        "bagging_refit_with_then_predict_rows_256x5",
+        200,
+        || {
+            let refit = fitted.refit_with(black_box(&[(&sample[..], 150.0)]));
+            refit.predict_rows(black_box(&matrix), black_box(&rows), &mut refit_out);
+            black_box(&refit_out);
+        },
+    ));
+    let mut root = SpeculativeFit::default();
+    root.set_root(&fitted, &matrix, &rows, Some(data.len() + 1));
+    let mut child = SpeculativeFit::default();
+    let mut workspace = RouteWorkspace::default();
+    let mut speculative_out = Vec::new();
+    measurements.push(bench("speculative_extend_256x5", 200, || {
+        root.extend_into(
             black_box(&matrix),
             black_box(&rows),
-            &mut batch_out,
-            &mut memo,
+            black_box(&sample),
+            150.0,
+            &mut child,
+            &mut workspace,
         );
-        black_box(&batch_out);
+        child.predict_into(&mut speculative_out);
+        black_box(&speculative_out);
     }));
+    let speculative_identical = refit_out.len() == speculative_out.len()
+        && refit_out.iter().zip(&speculative_out).all(|(a, b)| {
+            a.mean.to_bits() == b.mean.to_bits() && a.std.to_bits() == b.std.to_bits()
+        });
+    assert!(
+        speculative_identical,
+        "a speculative extension must predict bit-identically to refit_with"
+    );
 
     measurements.push(bench("bagging_predict_reference_256x5", 200, || {
         for i in 0..matrix.rows() {
@@ -322,8 +355,8 @@ fn main() {
             .map_or(f64::NAN, |m| m.nanos_per_iteration)
     };
     let refit_speedup = component("bagging_fit_reference_40x5") / component("bagging_refit_with_1");
-    let predict_speedup =
-        component("bagging_predict_reference_256x5") / component("bagging_predict_rows_memo_256x5");
+    let extend_speedup = component("bagging_refit_with_then_predict_rows_256x5")
+        / component("speculative_extend_256x5");
     let pointer_ns = component("bagging_predict_rows_pointer_256x5");
     let flat_ns = component("bagging_predict_rows_256x5");
     let flat_speedup = pointer_ns / flat_ns;
@@ -349,8 +382,8 @@ fn main() {
                     Value::from_f64(refit_speedup),
                 ),
                 (
-                    "memoized_batch_predict_vs_reference_predict",
-                    Value::from_f64(predict_speedup),
+                    "speculative_extend_vs_refit_then_predict",
+                    Value::from_f64(extend_speedup),
                 ),
                 (
                     "flat_block_predict_vs_pointer_predict",
@@ -365,6 +398,21 @@ fn main() {
                 ("flat_ns", Value::from_f64(flat_ns)),
                 ("speedup", Value::from_f64(flat_speedup)),
                 ("identical", Value::Bool(flat_identical)),
+            ]),
+        ),
+        (
+            "speculative_extension",
+            object([
+                (
+                    "refit_ns",
+                    Value::from_f64(component("bagging_refit_with_then_predict_rows_256x5")),
+                ),
+                (
+                    "speculative_ns",
+                    Value::from_f64(component("speculative_extend_256x5")),
+                ),
+                ("speedup", Value::from_f64(extend_speedup)),
+                ("identical", Value::Bool(speculative_identical)),
             ]),
         ),
         (

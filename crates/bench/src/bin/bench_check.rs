@@ -12,7 +12,9 @@
 //!   `"Infinity"` and `"-Infinity"` that `Value::from_f64` writes for a
 //!   non-finite float. No artifact has a legitimately negative value;
 //! * a pruning cell, the flat-traversal cell or the recurring-job cells
-//!   are incoherent (see the rules below).
+//!   are incoherent (see the rules below);
+//! * a lookahead-sweep `speedup` is published without its sample interval,
+//!   or with an interval wider than its effect.
 //!
 //! Usage: `cargo run -p lynceus-bench --bin bench_check [files…]`. The
 //! default is every `BENCH_*.json` in the artifact directory: the
@@ -159,6 +161,43 @@ fn flat_violations(doc: &Value) -> Vec<String> {
     violations
 }
 
+/// Every non-null `speedup` of the lookahead sweep is the median of
+/// interleaved exhaustive/pruned sample ratios. It must come with the
+/// samples' `speedup_min`/`speedup_max` interval, lie inside it, and the
+/// interval must be no wider than the ratio's distance from 1: a ratio
+/// whose spread exceeds its effect could say pruning wins or loses
+/// depending on the run, and the bench publishes `null` for it instead.
+fn speedup_violations(doc: &Value) -> Vec<String> {
+    if benchmark(doc) != Some("fig6_lookahead") {
+        return Vec::new();
+    }
+    let mut violations = Vec::new();
+    for (cell, value) in nodes(doc) {
+        let Some(speedup) = num(value, "speedup") else {
+            continue;
+        };
+        let (Some(low), Some(high)) = (num(value, "speedup_min"), num(value, "speedup_max")) else {
+            violations.push(format!(
+                "{cell}: speedup {speedup} without a speedup_min/speedup_max interval"
+            ));
+            continue;
+        };
+        if !(low <= speedup && speedup <= high) {
+            violations.push(format!(
+                "{cell}: speedup {speedup} outside its interval [{low}, {high}]"
+            ));
+        }
+        let effect = (speedup - 1.0).abs();
+        if high - low > effect {
+            violations.push(format!(
+                "{cell}: speedup {speedup} has a spread [{low}, {high}] wider than its effect \
+                 {effect}; publish null"
+            ));
+        }
+    }
+    violations
+}
+
 /// The recurring-job artifact: the chain must actually recur (≥ 2 runs),
 /// the cost-to-target trajectory must be coherent and must improve from
 /// the cold run to the final one (the whole point of the knowledge layer),
@@ -253,11 +292,12 @@ fn check(text: &str) -> Vec<String> {
         Ok(doc) => doc,
         Err(e) => return vec![format!("not valid JSON: {e}")],
     };
-    let rules: [fn(&Value) -> Vec<String>; 5] = [
+    let rules: [fn(&Value) -> Vec<String>; 6] = [
         flag_violations,
         number_violations,
         pruning_violations,
         flat_violations,
+        speedup_violations,
         recurring_violations,
     ];
     rules.iter().flat_map(|rule| rule(&doc)).collect()
@@ -458,6 +498,53 @@ mod tests {
             "no flat-traversal cell"
         ));
         assert!(flat_violations(&doc(r#"{ "benchmark": "recurring" }"#)).is_empty());
+    }
+
+    /// A lookahead-sweep artifact with one cell's `speedup` fields.
+    fn sweep(speedup: &str) -> String {
+        format!(
+            r#"{{ "benchmark": "fig6_lookahead", "cells": [ {{ "decisions": 11, "candidates": 612,
+                 "pruned": 135, "pruned_fraction": 0.22, {speedup}, "identical": true }} ] }}"#
+        )
+    }
+
+    #[test]
+    fn resolved_and_null_speedups_pass() {
+        let resolved = sweep(r#""speedup": 1.2, "speedup_min": 1.15, "speedup_max": 1.3"#);
+        assert!(check(&resolved).is_empty(), "{:?}", check(&resolved));
+        let within_noise = sweep(r#""speedup": null, "speedup_min": 0.84, "speedup_max": 1.04"#);
+        assert!(check(&within_noise).is_empty());
+        let not_run = sweep(r#""speedup": null, "speedup_min": null, "speedup_max": null"#);
+        assert!(check(&not_run).is_empty());
+    }
+
+    #[test]
+    fn a_speedup_without_its_interval_fails() {
+        // The best-of-2 ratios the sweep used to publish, with no spread.
+        let bare = sweep(r#""speedup": 0.94"#);
+        assert!(mentions(
+            &check(&bare),
+            "without a speedup_min/speedup_max interval"
+        ));
+        let half = sweep(r#""speedup": 1.5, "speedup_min": 1.4"#);
+        assert!(mentions(
+            &check(&half),
+            "without a speedup_min/speedup_max interval"
+        ));
+    }
+
+    #[test]
+    fn a_speedup_whose_spread_exceeds_its_effect_fails() {
+        // Two runs of the same code recorded 0.94 then 1.04: a spread of
+        // 0.10 around an effect of 0.03.
+        let noisy = sweep(r#""speedup": 1.03, "speedup_min": 0.94, "speedup_max": 1.04"#);
+        assert!(mentions(&check(&noisy), "wider than its effect"));
+        let outside = sweep(r#""speedup": 2.0, "speedup_min": 1.2, "speedup_max": 1.4"#);
+        assert!(mentions(&check(&outside), "outside its interval"));
+        // Other benchmarks' ratios are not sample medians.
+        let flat = r#"{ "benchmark": "micro_components", "flat_traversal":
+            { "pointer_ns": 2e4, "flat_ns": 1e4, "speedup": 2.0, "identical": true } }"#;
+        assert!(check(flat).is_empty());
     }
 
     fn recurring(cold_cost: f64, final_cost: f64, cold_frac: f64, warm_frac: f64) -> Value {

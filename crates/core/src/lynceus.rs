@@ -43,16 +43,18 @@
 //!   calibration, not a proof — see [`PathEngine::BoundAndPrune`] for where
 //!   it holds and for the decisions on which pruning is disabled.
 //!
-//!   Every (real or speculated) state is scored with **one** tree-major
-//!   [`Surrogate::predict_rows`] pass over the untested set into reusable
-//!   buffers; speculated states are a [`SpeculativeCursor`] push/pop
-//!   overlay instead of full-state clones;
-//!   speculative surrogates are produced with
-//!   [`BaggingEnsemble::refit_with`], which extends the fitted ensemble by
-//!   one sample and rebuilds only the member trees whose bootstrap resample
-//!   draws it; the per-decision Gauss–Hermite rule is precomputed once; and
-//!   candidate expansions fan out over the worker pool ([`crate::pool`])
-//!   with a Γ-ordered reduction.
+//!   Every (real or speculated) state is scored at the decision's untested
+//!   rows only, so a speculated surrogate is a [`SpeculativeFit`]: each
+//!   member tree's values at those rows, never a tree. The root pass
+//!   descends the real model's members once per decision; a speculated
+//!   observation extends its parent's fit with
+//!   [`SpeculativeFit::extend_into`], which copies the members whose
+//!   bootstrap resample does not draw it and rebuilds the rest with a fused
+//!   fit-and-route builder that stores no node. Speculated states are a
+//!   [`SpeculativeCursor`] push/pop overlay instead of full-state clones;
+//!   the per-decision Gauss–Hermite rule is precomputed once; and candidate
+//!   expansions fan out over the worker pool ([`crate::pool`]) with a
+//!   Γ-ordered reduction.
 //! * [`PathEngine::Batched`] — the same expansion, every optimization
 //!   above included, with pruning switched off: every candidate's full
 //!   `k + k² + … + k^LA` subtree is expanded. Retained as the exhaustive
@@ -77,7 +79,9 @@ use crate::receipt::DecisionReceipt;
 use crate::state::{SearchState, SpeculativeCursor};
 use crate::switching::{FreeSwitching, SwitchingCost};
 use crate::transfer::{JobKnowledge, PriorObservation};
-use lynceus_learners::{BaggingEnsemble, FeatureMatrix, Prediction, RowValueMemo, Surrogate};
+use lynceus_learners::{
+    BaggingEnsemble, FeatureMatrix, Prediction, RouteWorkspace, SpeculativeFit, Surrogate,
+};
 use lynceus_math::quadrature::{discretize_normal_clamped, GaussHermiteRule, WeightedValue};
 use lynceus_math::rng::SeededRng;
 use lynceus_space::ConfigId;
@@ -118,7 +122,7 @@ pub enum PathEngine {
     ///
     /// Every candidate expands its **first** speculation level exactly (the
     /// `|Γ|·k` work the exhaustive engine performs anyway, with the branch
-    /// surrogates cached), which yields its exact first-step rewards `r₁ₖ`
+    /// fits cached), which yields its exact first-step rewards `r₁ₖ`
     /// and expected costs `c₁ₖ`. From those the engine assembles a bound on
     /// the candidate's full score,
     ///
@@ -607,7 +611,6 @@ impl LynceusOptimizer {
             satisfaction,
             satisfaction_scratch,
             root,
-            root_memo,
             root_mask,
             gamma,
             ranked,
@@ -632,7 +635,6 @@ impl LynceusOptimizer {
                 satisfaction,
                 satisfaction_scratch: &mut *satisfaction_scratch,
                 root: &mut *root,
-                root_memo: &mut *root_memo,
                 root_mask: &mut *root_mask,
                 gamma: &mut *gamma,
             },
@@ -737,10 +739,11 @@ impl LynceusOptimizer {
             && driver.state.tested().iter().any(|t| t.feasible);
         let base_len = ctx.base_ids.len();
         let gamma = &*gamma;
+        let root_fit = &root.fit;
         let init = || WorkerLease::take(workers, base_len);
         let expand = |lease: &mut WorkerLease<'_>, g: usize| -> CandidateOutcome {
             ctx.expand_candidate(
-                model,
+                root_fit,
                 &gamma[g],
                 lookahead,
                 lease.get(),
@@ -880,15 +883,15 @@ struct RootBuffers<'ctx, 'tmp> {
     satisfaction: &'ctx mut Vec<f64>,
     satisfaction_scratch: &'tmp mut Vec<Prediction>,
     root: &'tmp mut Scratch,
-    root_memo: &'tmp mut RowValueMemo,
     root_mask: &'tmp mut Vec<bool>,
     gamma: &'tmp mut Vec<RootCandidate>,
 }
 
 /// Shared setup of an overlay-engine decision: fixes the row universe,
-/// evaluates the root state with one batched pass, and extracts `Γ` with
-/// each member's prediction and EIc. Returns the decision context borrowing
-/// the now-filled buffers.
+/// computes the real model's member values at it (`root.fit`, which every
+/// candidate expansion extends), evaluates the root state, and extracts `Γ`
+/// with each member's prediction and EIc. Returns the decision context
+/// borrowing the now-filled buffers.
 fn prepare_root<'a>(
     optimizer: &'a LynceusOptimizer,
     driver: &'a Driver<'a>,
@@ -906,7 +909,6 @@ fn prepare_root<'a>(
         satisfaction,
         satisfaction_scratch,
         root,
-        root_memo,
         root_mask,
         gamma,
     } = buffers;
@@ -938,9 +940,13 @@ fn prepare_root<'a>(
     if !constraint_models.is_empty() {
         constraint_models.satisfaction_rows(block, block_rows, satisfaction, satisfaction_scratch);
     }
-    // The memoized tree values of the previous decision belong to a
-    // different row set; drop them before the root pass repopulates.
-    root_memo.clear();
+    // The real model's member values at the block, computed once for every
+    // worker to extend. At `LA = 0` nothing is speculated, so the fit
+    // skips the training-set and resample copies an extension needs;
+    // otherwise it reserves for the largest training set of the run (every
+    // configuration profiled), so the arena stops growing.
+    let extendable = (optimizer.settings.lookahead > 0).then_some(matrix.rows());
+    root.fit.set_root(model, block, block_rows, extendable);
     root_mask.clear();
     root_mask.resize(base_ids.len(), false);
 
@@ -963,7 +969,7 @@ fn prepare_root<'a>(
     // Evaluate the root state once: one batched prediction pass serves
     // the budget filter, the incumbent fallback and every EIc score.
     let cursor = SpeculativeCursor::new(&driver.state);
-    let y_star = ctx.eval_state(&cursor, model, root, root_mask, root_memo);
+    let y_star = ctx.eval_state(&cursor, root, root_mask);
     let beta = cursor.remaining_budget();
 
     // Γ with each member's prediction and EIc extracted from the shared
@@ -988,12 +994,11 @@ fn prepare_root<'a>(
 }
 
 /// Per-worker state of branch evaluation: one [`Scratch`] per recursion
-/// level, the decision-wide tree-value memo, the speculated-membership mask
-/// and the candidate-level Gauss–Hermite buffer.
+/// level, the speculated-membership mask, the candidate-level Gauss–Hermite
+/// buffer, the phase-A branch fits and the rebuild buffers.
 #[derive(Default)]
 struct BranchScratch {
     levels: Vec<Scratch>,
-    memo: RowValueMemo,
     /// `mask[p]` is true iff `base_ids[p]` is currently speculated on the
     /// worker's path — the incremental form of `Γ` membership across
     /// depths, updated in `O(1)` per cursor push/pop instead of re-scanning
@@ -1002,14 +1007,16 @@ struct BranchScratch {
     /// First-level Gauss–Hermite nodes of the candidate under expansion
     /// (deeper levels use their [`Scratch`]'s own buffer).
     root_nodes: Vec<WeightedValue>,
-    /// The branch surrogates built during phase A of
-    /// [`BatchedCtx::expand_candidate`], reused verbatim by phase B.
-    branch_models: Vec<BaggingEnsemble>,
+    /// The branch fits built during phase A of
+    /// [`BatchedCtx::expand_candidate`], extended by phase B.
+    branch_fits: Vec<SpeculativeFit>,
     /// Each branch's selected next step, its EIc and its switching charge
     /// from phase A (`None` when the branch died on an empty Γ), so phase
     /// B resumes the deep recursion directly instead of re-evaluating the
     /// first level (or re-querying the switching model).
     branch_next: Vec<Option<(Member, f64, f64)>>,
+    /// Buffers of the member rebuilds in [`SpeculativeFit::extend_into`].
+    workspace: RouteWorkspace,
 }
 
 /// A per-worker [`BranchScratch`] checked out of the decision's recycler:
@@ -1024,8 +1031,6 @@ struct WorkerLease<'a> {
 impl<'a> WorkerLease<'a> {
     fn take(home: &'a Mutex<Vec<BranchScratch>>, base_len: usize) -> Self {
         let mut scratch = crate::poison::lock(home).pop().unwrap_or_default();
-        // The previous decision's memo refers to a different row set.
-        scratch.memo.clear();
         scratch.mask.clear();
         scratch.mask.resize(base_len, false);
         Self {
@@ -1065,8 +1070,9 @@ pub(crate) struct DecisionScratch {
     positions: Vec<u32>,
     satisfaction: Vec<f64>,
     satisfaction_scratch: Vec<Prediction>,
+    /// The root state's evaluation; `root.fit` holds the real model's
+    /// member values, which every worker extends.
     root: Scratch,
-    root_memo: RowValueMemo,
     root_mask: Vec<bool>,
     gamma: Vec<RootCandidate>,
     /// `(EIc, base position)` ranking, per-candidate bounds, the
@@ -1093,17 +1099,15 @@ impl DecisionScratch {
             .map(|w| {
                 w.mask.capacity()
                     + w.root_nodes.capacity()
-                    + w.branch_models.capacity()
-                    + w.branch_next.capacity()
-                    + w.levels.capacity()
-                    + w.levels
+                    + w.branch_fits.capacity()
+                    + w.branch_fits
                         .iter()
-                        .map(|level| {
-                            level.predictions.capacity()
-                                + level.pairs.capacity()
-                                + level.nodes.capacity()
-                        })
+                        .map(SpeculativeFit::capacity)
                         .sum::<usize>()
+                    + w.branch_next.capacity()
+                    + w.workspace.capacity()
+                    + w.levels.capacity()
+                    + w.levels.iter().map(Scratch::capacity).sum::<usize>()
             })
             .sum();
         self.base_ids.capacity()
@@ -1112,9 +1116,7 @@ impl DecisionScratch {
             + self.positions.capacity()
             + self.satisfaction.capacity()
             + self.satisfaction_scratch.capacity()
-            + self.root.predictions.capacity()
-            + self.root.pairs.capacity()
-            + self.root.nodes.capacity()
+            + self.root.capacity()
             + self.root_mask.capacity()
             + self.gamma.capacity()
             + self.ranked.capacity()
@@ -1132,13 +1134,26 @@ impl DecisionScratch {
 #[derive(Default)]
 struct Scratch {
     // (rows are fixed per decision and live in `BatchedCtx::{block, block_rows}`)
-    /// Predictions aligned with the decision's base ids (one tree-major
-    /// batch pass).
+    /// The evaluated state's surrogate: member values at the block rows.
+    fit: SpeculativeFit,
+    /// Predictions aligned with the decision's base ids, aggregated from
+    /// `fit`.
     predictions: Vec<Prediction>,
     /// `(cost, feasible)` pairs of the evaluated state.
     pairs: Vec<(f64, bool)>,
     /// Gauss–Hermite nodes of the level's discretization.
     nodes: Vec<WeightedValue>,
+}
+
+impl Scratch {
+    /// Summed buffer capacities (see [`DecisionScratch::capacity_signature`]).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.fit.capacity()
+            + self.predictions.capacity()
+            + self.pairs.capacity()
+            + self.nodes.capacity()
+    }
 }
 
 /// One untested configuration inside a [`Scratch`] evaluation.
@@ -1189,18 +1204,16 @@ impl BatchedCtx<'_> {
                 prediction,
             })
     }
-    /// Scores a state: one batched prediction pass over its untested set
-    /// (plus one per secondary-constraint model), then the incumbent `y*`.
-    /// Everything downstream (budget filter, EIc, argmax) reads the buffers.
+    /// Scores a state: its predictions at the block rows, aggregated from
+    /// `scratch.fit`, then the incumbent `y*`. Everything downstream
+    /// (budget filter, EIc, argmax) reads the buffers.
     fn eval_state(
         &self,
         cursor: &SpeculativeCursor<'_>,
-        model: &BaggingEnsemble,
         scratch: &mut Scratch,
         mask: &[bool],
-        memo: &mut RowValueMemo,
     ) -> f64 {
-        model.predict_rows_memo(self.block, self.block_rows, &mut scratch.predictions, memo);
+        scratch.fit.predict_into(&mut scratch.predictions);
         // The pair list tracks the training set, which grows by one per
         // decision; reserving its run-constant upper bound (every
         // configuration profiled) up front keeps the buffer from
@@ -1269,11 +1282,11 @@ impl BatchedCtx<'_> {
     /// Branch-and-bound expansion of one root candidate.
     ///
     /// **Phase A** expands the candidate's first level exactly: every
-    /// Gauss–Hermite branch gets its incremental surrogate, its batched
-    /// state evaluation and its exact selected step — the same `|Γ|·k` work
-    /// exhaustive expansion performs, with the branch surrogates cached for
-    /// reuse. Those exact quantities yield the candidate's bound (see
-    /// [`PathEngine::BoundAndPrune`]):
+    /// Gauss–Hermite branch gets its fit (`root_fit` extended by the
+    /// speculated observation), its state evaluation and its exact selected
+    /// step — the same `|Γ|·k` work exhaustive expansion performs, with the
+    /// branch fits cached for phase B. Those exact quantities yield the
+    /// candidate's bound (see [`PathEngine::BoundAndPrune`]):
     ///
     /// ```text
     /// UB = (EIc(x) + Σ_k γ·w_k·r₁ₖ + κ·T) / (c₀ + Σ_k w_k·c₁ₖ)
@@ -1291,16 +1304,16 @@ impl BatchedCtx<'_> {
     /// tail: the "bound" *is* the exact score and phase B is skipped.
     ///
     /// **Phase B** (only when the bound survives the incumbent) resumes
-    /// each live branch from its cached surrogate and selected step
-    /// straight into the deep recursion — the naive recursion's arithmetic,
-    /// in the same order — and publishes the candidate's exact score and
-    /// measured deep tail. With `prunable` false (the Batched engine, and
+    /// each live branch from its cached fit and selected step straight into
+    /// the deep recursion — the naive recursion's arithmetic, in the same
+    /// order — and publishes the candidate's exact score and measured deep
+    /// tail. With `prunable` false (the Batched engine, and
     /// decisions where the bound's premise does not hold) phase B always
     /// runs, which is exhaustive expansion.
     #[allow(clippy::too_many_arguments)]
     fn expand_candidate(
         &self,
-        root_model: &BaggingEnsemble,
+        root_fit: &SpeculativeFit,
         candidate: &RootCandidate,
         lookahead: usize,
         scratch: &mut BranchScratch,
@@ -1316,11 +1329,11 @@ impl BatchedCtx<'_> {
         let constraint_cap = self.driver.constraint_cost_cap(candidate.id);
         let BranchScratch {
             levels,
-            memo,
             mask,
             root_nodes,
-            branch_models,
+            branch_fits,
             branch_next,
+            workspace,
         } = scratch;
         self.rule.discretize_clamped_into(
             candidate.prediction.mean,
@@ -1332,9 +1345,14 @@ impl BatchedCtx<'_> {
             levels.resize_with(depth_left + 2, Scratch::default);
         }
         let x_position = self.positions[candidate.id.index()] as usize;
+        let x_features = self.driver.features_of(candidate.id);
 
         // Phase A: exact first level.
-        branch_models.clear();
+        // Grow only: a degenerate discretization yields fewer nodes, and
+        // truncating would drop fits whose buffers later branches reuse.
+        if branch_fits.len() < root_nodes.len() {
+            branch_fits.resize_with(root_nodes.len(), SpeculativeFit::default);
+        }
         branch_next.clear();
         let mut exact_reward = candidate.eic;
         let mut exact_cost = first_step_cost;
@@ -1343,7 +1361,7 @@ impl BatchedCtx<'_> {
                 .split_first_mut()
                 // lint: allow(no-panic) -- arena invariant: levels was resized to depth_left + 2 ≥ 2 entries just above
                 .expect("at least one scratch level");
-            for &node in root_nodes.iter() {
+            for (&node, branch_fit) in root_nodes.iter().zip(branch_fits.iter_mut()) {
                 let mut cursor = SpeculativeCursor::new(&self.driver.state);
                 cursor.push(candidate.id, node.value, node.value <= constraint_cap);
                 mask[x_position] = true;
@@ -1355,9 +1373,15 @@ impl BatchedCtx<'_> {
                 if charge > 0.0 {
                     cursor.charge_extra(charge);
                 }
-                let model =
-                    root_model.refit_with(&[(self.driver.features_of(candidate.id), node.value)]);
-                let y_star = self.eval_state(&cursor, &model, first, mask, memo);
+                root_fit.extend_into(
+                    self.block,
+                    self.block_rows,
+                    x_features,
+                    node.value,
+                    &mut first.fit,
+                    workspace,
+                );
+                let y_star = self.eval_state(&cursor, first, mask);
                 let selected = self.select_next(
                     first,
                     mask,
@@ -1379,7 +1403,9 @@ impl BatchedCtx<'_> {
                     (next, r1, next_switch)
                 });
                 mask[x_position] = false;
-                branch_models.push(model);
+                // Keep the branch's fit for phase B; `first` takes the
+                // cached buffer back for the next branch to overwrite.
+                std::mem::swap(&mut first.fit, branch_fit);
                 branch_next.push(stored);
             }
         }
@@ -1415,7 +1441,7 @@ impl BatchedCtx<'_> {
         }
 
         // Phase B: deep expansion only — each live branch resumes from its
-        // phase-A surrogate and selected step straight into the `explore`
+        // phase-A fit and selected step straight into the `explore`
         // recursion, so the first level is never evaluated twice. Reward and
         // cost accumulate in Gauss–Hermite node order, the naive recursion's
         // order, so the score is bit-identical to it.
@@ -1441,15 +1467,15 @@ impl BatchedCtx<'_> {
                 }
                 let (r, c) = self.explore(
                     &mut cursor,
-                    &branch_models[k],
+                    &branch_fits[k],
+                    &mut first.nodes,
                     next,
                     r1,
                     next_switch,
                     depth_left,
-                    first,
                     rest,
                     mask,
-                    memo,
+                    workspace,
                 );
                 mask[x_position] = false;
                 cost += node.weight * c;
@@ -1479,9 +1505,11 @@ impl BatchedCtx<'_> {
     }
 
     /// The overlay-based transcription of `ExplorePaths`: reward and cost of
-    /// the path that continues by speculatively profiling `x` (whose
-    /// prediction and EIc come from `level`, the already-evaluated scratch of
-    /// the cursor's current state).
+    /// the path that continues by speculatively profiling `x` from the
+    /// cursor's current state, whose fit is `fit` and whose evaluation gave
+    /// `x`'s prediction and EIc. `nodes` receives the discretization of
+    /// `x`'s cost; `deeper` holds one [`Scratch`] per remaining level, each
+    /// speculated child's fit and evaluation going into the first.
     ///
     /// `switch` is the switching charge `χ → x` at the cursor's current
     /// state, computed by the caller at the selection site (phase A needs
@@ -1491,15 +1519,15 @@ impl BatchedCtx<'_> {
     fn explore(
         &self,
         cursor: &mut SpeculativeCursor<'_>,
-        model: &BaggingEnsemble,
+        fit: &SpeculativeFit,
+        nodes: &mut Vec<WeightedValue>,
         x: Member,
         eic_x: f64,
         switch: f64,
         depth_left: usize,
-        level: &mut Scratch,
         deeper: &mut [Scratch],
         mask: &mut [bool],
-        memo: &mut RowValueMemo,
+        workspace: &mut RouteWorkspace,
     ) -> (f64, f64) {
         let mut reward = eic_x;
         let mut cost = (x.prediction.mean + switch).max(MIN_STEP_COST);
@@ -1511,15 +1539,15 @@ impl BatchedCtx<'_> {
             x.prediction.mean,
             x.prediction.std,
             MIN_STEP_COST,
-            &mut level.nodes,
+            nodes,
         );
         let constraint_cap = self.driver.constraint_cost_cap(x.id);
-        // `level.nodes` would be clobbered by deeper recursion levels writing
-        // into their own scratch — but each level owns its scratch, so moving
-        // the node list out is unnecessary; the recursion only touches
-        // `deeper`.
-        for node_index in 0..level.nodes.len() {
-            let node = level.nodes[node_index];
+        let x_features = self.driver.features_of(x.id);
+        let (child, grandchildren) = deeper
+            .split_first_mut()
+            // lint: allow(no-panic) -- arena invariant: the entry sizing reserved depth_left + 2 levels, one per recursion step
+            .expect("scratch levels cover the lookahead depth");
+        for &node in nodes.iter() {
             cursor.push(x.id, node.value, node.value <= constraint_cap);
             mask[x.index] = true;
             // The speculated β pays the switch `χ → x` too (same charge
@@ -1529,12 +1557,15 @@ impl BatchedCtx<'_> {
             if charge > 0.0 {
                 cursor.charge_extra(charge);
             }
-            let next_model = model.refit_with(&[(self.driver.features_of(x.id), node.value)]);
-            let (child, grandchildren) = deeper
-                .split_first_mut()
-                // lint: allow(no-panic) -- arena invariant: the entry sizing reserved depth_left + 2 levels, one per recursion step
-                .expect("scratch levels cover the lookahead depth");
-            let y_star = self.eval_state(cursor, &next_model, child, mask, memo);
+            fit.extend_into(
+                self.block,
+                self.block_rows,
+                x_features,
+                node.value,
+                &mut child.fit,
+                workspace,
+            );
+            let y_star = self.eval_state(cursor, child, mask);
             if let Some((next, next_eic)) = self.select_next(
                 child,
                 mask,
@@ -1545,15 +1576,15 @@ impl BatchedCtx<'_> {
                 let next_switch = self.switching.cost(cursor.current(), next.id);
                 let (r, c) = self.explore(
                     cursor,
-                    &next_model,
+                    &child.fit,
+                    &mut child.nodes,
                     next,
                     next_eic,
                     next_switch,
                     depth_left - 1,
-                    child,
                     grandchildren,
                     mask,
-                    memo,
+                    workspace,
                 );
                 cost += node.weight * c;
                 reward += self.settings.discount * node.weight * r;
@@ -2358,7 +2389,14 @@ mod tests {
     #[test]
     fn decision_arena_stops_growing_after_the_first_decisions() {
         let oracle = valley_oracle();
-        let optimizer = LynceusOptimizer::new(settings(1_500.0, 2));
+        // Sequential, so one worker scratch carries every expansion: on the
+        // pool a second worker may first join a later decision, which adds
+        // a whole worker scratch to the recycler — a schedule effect, not
+        // buffer growth.
+        let optimizer = LynceusOptimizer::new(OptimizerSettings {
+            parallel_paths: false,
+            ..settings(1_500.0, 2)
+        });
         let mut session = LynceusSession::new(&optimizer, &oracle, 3);
         let mut signatures = Vec::new();
         while let SessionStep::Profiled(_) = session.step().expect("healthy oracle") {

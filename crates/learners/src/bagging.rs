@@ -22,9 +22,13 @@
 //! expectation `1 - e^{-m}` of them for `m` new samples) while reusing the
 //! rest — and the result is bit-identical to fitting from scratch on the
 //! extended set.
+//!
+//! [`SpeculativeFit`] applies the same extension to an ensemble that exists
+//! only as its members' values at a fixed row block, which is all the
+//! speculation engine ever reads of a speculated surrogate.
 
-use crate::model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
-use crate::tree::RegressionTree;
+use crate::model::{reserve_total, FeatureMatrix, Prediction, Surrogate, TrainingSet};
+use crate::tree::{RegressionTree, RouteWorkspace};
 use std::sync::Arc;
 
 /// Poisson(1) resample count of `sample` in tree `tree` of an ensemble
@@ -55,6 +59,41 @@ fn resample_count(seed: u64, tree: u64, sample: u64) -> usize {
     k
 }
 
+/// The configuration every member tree of an ensemble shares.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Members {
+    count: usize,
+    seed: u64,
+    min_samples_leaf: usize,
+    max_depth: usize,
+}
+
+impl Members {
+    /// The unfitted member tree `index` for `dims`-dimensional data.
+    fn tree(&self, dims: usize, index: usize) -> RegressionTree {
+        RegressionTree::new()
+            .with_max_depth(self.max_depth)
+            .with_min_samples_leaf(self.min_samples_leaf)
+            .with_feature_subsample(feature_subsample(dims))
+            .with_seed(self.seed.wrapping_add(index as u64 * 7919 + 1))
+    }
+
+    /// How many times member `index`'s resample draws `sample`.
+    fn draws(&self, index: usize, sample: usize) -> usize {
+        resample_count(self.seed, index as u64, sample as u64)
+    }
+
+    /// The Poisson resample multiset of member `index` over samples
+    /// `range` (ascending).
+    fn resample(&self, index: usize, range: std::ops::Range<usize>) -> Vec<usize> {
+        let mut out = Vec::new();
+        for i in range {
+            out.extend(std::iter::repeat_n(i, self.draws(index, i)));
+        }
+        out
+    }
+}
+
 /// A bagging ensemble of random regression trees.
 ///
 /// # Example
@@ -74,10 +113,7 @@ fn resample_count(seed: u64, tree: u64, sample: u64) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BaggingEnsemble {
-    n_estimators: usize,
-    seed: u64,
-    min_samples_leaf: usize,
-    max_depth: usize,
+    members: Members,
     /// Member trees behind `Arc`, so an incremental refit shares the
     /// members whose resample is unchanged instead of deep-copying them.
     trees: Vec<Arc<RegressionTree>>,
@@ -118,11 +154,17 @@ impl BaggingEnsemble {
     #[must_use]
     pub fn with_seed(n_estimators: usize, seed: u64) -> Self {
         assert!(n_estimators > 0, "an ensemble needs at least one tree");
-        Self {
-            n_estimators,
+        Self::unfitted(Members {
+            count: n_estimators,
             seed,
             min_samples_leaf: 1,
             max_depth: 32,
+        })
+    }
+
+    fn unfitted(members: Members) -> Self {
+        Self {
+            members,
             trees: Vec::new(),
             resamples: Vec::new(),
             data: None,
@@ -133,21 +175,21 @@ impl BaggingEnsemble {
     /// Sets the minimum number of samples per leaf of every member tree.
     #[must_use]
     pub fn with_min_samples_leaf(mut self, min: usize) -> Self {
-        self.min_samples_leaf = min.max(1);
+        self.members.min_samples_leaf = min.max(1);
         self
     }
 
     /// Sets the maximum depth of every member tree.
     #[must_use]
     pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth.max(1);
+        self.members.max_depth = depth.max(1);
         self
     }
 
     /// Number of member trees.
     #[must_use]
     pub fn n_estimators(&self) -> usize {
-        self.n_estimators
+        self.members.count
     }
 
     /// Number of training observations the ensemble was fitted on.
@@ -167,26 +209,9 @@ impl BaggingEnsemble {
             .collect()
     }
 
-    /// The Poisson resample multiset of member `index` over samples
-    /// `range` (ascending).
-    fn resample_indices(&self, index: usize, range: std::ops::Range<usize>) -> Vec<usize> {
-        let mut out = Vec::new();
-        for i in range {
-            let count = resample_count(self.seed, index as u64, i as u64);
-            for _ in 0..count {
-                out.push(i);
-            }
-        }
-        out
-    }
-
     /// Builds the member tree `index` on a resample multiset of `data`.
     fn make_tree(&self, data: &TrainingSet, index: usize, resample: &[usize]) -> RegressionTree {
-        let mut tree = RegressionTree::new()
-            .with_max_depth(self.max_depth)
-            .with_min_samples_leaf(self.min_samples_leaf)
-            .with_feature_subsample(feature_subsample(data.dims()))
-            .with_seed(self.seed.wrapping_add(index as u64 * 7919 + 1));
+        let mut tree = self.members.tree(data.dims(), index);
         tree.fit_indexed(data, resample);
         tree
     }
@@ -200,9 +225,9 @@ impl BaggingEnsemble {
     /// scratch on the extended training set — only cheaper: in expectation a
     /// fraction `e^{-m}` of the trees (`m = extra.len()`) is reused
     /// unchanged, and the surviving trees skip the resample-and-rebuild
-    /// entirely. This is the workhorse of the optimizer's speculation engine,
-    /// which extends the model by one speculated observation per simulated
-    /// branch.
+    /// entirely. The optimizer extends its real surrogate this way after
+    /// every profiling run; speculated observations go through
+    /// [`SpeculativeFit::extend_into`] instead, which builds no tree.
     ///
     /// Calling this on an unfitted ensemble is equivalent to fitting on
     /// `extra` alone.
@@ -222,27 +247,20 @@ impl BaggingEnsemble {
         };
         let base_len = extended.len();
         for (features, target) in extra {
-            extended.push(features.to_vec(), *target);
+            extended.push_row(features, *target);
         }
 
-        let mut next = Self {
-            n_estimators: self.n_estimators,
-            seed: self.seed,
-            min_samples_leaf: self.min_samples_leaf,
-            max_depth: self.max_depth,
-            trees: Vec::with_capacity(self.n_estimators),
-            resamples: Vec::with_capacity(self.n_estimators),
-            data: None,
-            fitted: false,
-        };
-        for t in 0..self.n_estimators {
+        let mut next = Self::unfitted(self.members);
+        next.trees.reserve(self.members.count);
+        next.resamples.reserve(self.members.count);
+        for t in 0..self.members.count {
             // Extend the stored multiset (ascending base indices) with the
             // new draws (ascending, all >= base_len): the result is exactly
             // the multiset a full Poisson scan would produce. The extension
             // is built lazily so the common no-draw case allocates nothing.
             let mut resample: Option<Vec<usize>> = None;
             for i in base_len..extended.len() {
-                let count = resample_count(self.seed, t as u64, i as u64);
+                let count = self.members.draws(t, i);
                 if count > 0 {
                     let draws = resample.get_or_insert_with(|| {
                         if self.fitted {
@@ -251,9 +269,7 @@ impl BaggingEnsemble {
                             Vec::new()
                         }
                     });
-                    for _ in 0..count {
-                        draws.push(i);
-                    }
+                    draws.extend(std::iter::repeat_n(i, count));
                 }
             }
             match resample {
@@ -329,8 +345,8 @@ impl BaggingEnsemble {
         if data.is_empty() {
             return;
         }
-        for t in 0..self.n_estimators {
-            let indices = self.resample_indices(t, 0..data.len());
+        for t in 0..self.members.count {
+            let indices = self.members.resample(t, 0..data.len());
             // The original resample layout: one heap-allocated row per draw.
             let mut rows: Vec<Vec<f64>> = Vec::new();
             let mut targets: Vec<f64> = Vec::new();
@@ -339,110 +355,13 @@ impl BaggingEnsemble {
                 rows.push(features.to_vec());
                 targets.push(target);
             }
-            let mut tree = RegressionTree::new()
-                .with_max_depth(self.max_depth)
-                .with_min_samples_leaf(self.min_samples_leaf)
-                .with_feature_subsample(feature_subsample(data.dims()))
-                .with_seed(self.seed.wrapping_add(t as u64 * 7919 + 1));
+            let mut tree = self.members.tree(data.dims(), t);
             tree.fit_reference(&rows, &targets);
             self.trees.push(Arc::new(tree));
             self.resamples.push(Arc::new(indices));
         }
         self.data = Some(data.clone());
         self.fitted = true;
-    }
-
-    /// Batched prediction with a cross-call memo of per-tree row values.
-    ///
-    /// The speculation engine scores hundreds of speculative ensembles per
-    /// decision **at the same fixed row set**, and those ensembles share
-    /// most member trees (an incremental refit reuses every tree whose
-    /// resample skips the new sample). The memo caches each distinct tree's
-    /// leaf values over the row set — keyed by the tree's `Arc` address,
-    /// with the `Arc` kept alive inside the cache so an address can never be
-    /// recycled while its entry exists — so a shared tree is traversed once
-    /// per decision instead of once per ensemble evaluation. A memoized
-    /// traversal descends the whole row block through the tree
-    /// ([`RegressionTree::predict_values_into`]), and the value vectors
-    /// collected during the mean pass are replayed by the deviation pass,
-    /// so each member costs one hash lookup per call, not two.
-    ///
-    /// The caller owns the cache and must use it only while `rows` is
-    /// unchanged (the engine keeps one per worker per decision).
-    /// Element-wise bit-identical to [`Surrogate::predict`].
-    pub fn predict_rows_memo(
-        &self,
-        features: &FeatureMatrix,
-        rows: &[usize],
-        out: &mut Vec<Prediction>,
-        memo: &mut RowValueMemo,
-    ) {
-        out.clear();
-        if !self.fitted || self.trees.is_empty() {
-            out.extend(rows.iter().map(|_| Prediction::certain(0.0)));
-            return;
-        }
-        let RowValueMemo { map, passes } = memo;
-        // Bound the memo so a pathological decision cannot hold thousands of
-        // retired trees alive — but evict only *retired* entries (the memo's
-        // `Arc` is the last one standing): live trees are shared with
-        // ensembles still in play this decision, and dropping their cached
-        // values would defeat the memo exactly when ensembles are largest.
-        // Fall back to a full clear only if retiring frees nothing.
-        if map.len() > MEMO_SOFT_CAPACITY {
-            let before = map.len();
-            // lint: allow(hash-iteration) -- retain is order-independent here: survivors form a set keyed by tree address and no value is read during the sweep
-            map.retain(|_, (tree, _)| Arc::strong_count(tree) > 1);
-            if map.len() == before {
-                map.clear();
-            }
-        }
-        passes.clear();
-        let mut members = 0usize;
-        out.resize(
-            rows.len(),
-            Prediction {
-                mean: 0.0,
-                std: 0.0,
-            },
-        );
-        for tree in self.trees.iter().filter(|t| t.is_fitted()) {
-            members += 1;
-            let key = Arc::as_ptr(tree) as usize;
-            let entry = map.entry(key).or_insert_with(|| {
-                let mut values = vec![0.0; rows.len()];
-                tree.predict_values_into(features, rows, &mut values);
-                (Arc::clone(tree), Arc::new(values))
-            });
-            let values = Arc::clone(&entry.1);
-            for (slot, &value) in out.iter_mut().zip(values.iter()) {
-                slot.mean += value;
-            }
-            passes.push(values);
-        }
-        if members == 0 {
-            let fallback = Prediction::certain(self.target_mean_fallback());
-            for slot in out.iter_mut() {
-                *slot = fallback;
-            }
-            return;
-        }
-        let n = members as f64;
-        for slot in out.iter_mut() {
-            slot.mean /= n;
-        }
-        // Deviation pass over the value vectors collected above, in the
-        // same member order — no second map resolution per tree.
-        for values in passes.iter() {
-            for (slot, &value) in out.iter_mut().zip(values.iter()) {
-                let d = value - slot.mean;
-                slot.std += d * d;
-            }
-        }
-        passes.clear();
-        for slot in out.iter_mut() {
-            slot.std = (slot.std / n).sqrt();
-        }
     }
 
     /// Batched prediction over the retained **pointer** tree walk — the
@@ -532,82 +451,272 @@ fn feature_subsample(dims: usize) -> usize {
 /// flat descent, small enough to live on the stack.
 const ROW_BLOCK: usize = 64;
 
-/// Entry bound above which [`BaggingEnsemble::predict_rows_memo`] evicts
-/// retired trees (and, only if that frees nothing, clears outright).
-const MEMO_SOFT_CAPACITY: usize = 8192;
+/// Room an extendable [`SpeculativeFit`] reserves per member resample and
+/// in its [`RouteWorkspace`], in multiples of its training-set bound: a
+/// Poisson(1) resample of `n` samples averages `n` draws, and more than
+/// `2n` is rare once `n` passes a handful.
+const RESAMPLE_HEADROOM: usize = 2;
 
-/// Tree address → `(tree, leaf values over the memo's row set)`. The entry
-/// keeps the tree's `Arc` alive both to pin the address key and to let the
-/// overflow policy tell live trees (strong count > 1) from retired ones.
-type MemoMap = std::collections::HashMap<
-    usize,
-    (Arc<RegressionTree>, Arc<Vec<f64>>),
-    std::hash::BuildHasherDefault<PointerHasher>,
->;
-
-/// Cross-ensemble memo of per-tree leaf values over a fixed row set, used by
-/// [`BaggingEnsemble::predict_rows_memo`]. Entries keep their tree's `Arc`
-/// alive, so the address key is stable for the memo's lifetime. Keys are
-/// already well-distributed allocator addresses, so the map hashes them with
-/// an identity hasher instead of SipHash.
-#[derive(Default)]
-pub struct RowValueMemo {
-    map: MemoMap,
-    /// Per-call scratch: the value vectors of the ensemble under
-    /// evaluation, collected by the mean pass and replayed by the deviation
-    /// pass so the second pass performs no hash lookups. Cleared at the end
-    /// of every call (the `Arc`s are shared with `map`, so holding them
-    /// here costs nothing but a count).
-    passes: Vec<Arc<Vec<f64>>>,
+/// A bagging ensemble as its members' leaf values at a fixed row block: the
+/// speculation engine's tree-free surrogate.
+///
+/// The engine scores every speculated state of a decision at the same rows
+/// (the decision's untested configurations) and never queries a speculated
+/// surrogate anywhere else. A `SpeculativeFit` keeps only what those scores
+/// and one more extension need: each member tree's values at the block
+/// rows, the training set, and each member's Poisson resample multiset.
+/// [`SpeculativeFit::extend_into`] adds one speculated observation the way
+/// [`BaggingEnsemble::refit_with`] does. A member whose resample does not
+/// draw the new sample keeps its values (a copy). A member that does is
+/// rebuilt by a fused fit-and-route builder, which routes the block rows
+/// through each split as it chooses the split and stores no node.
+/// [`SpeculativeFit::predict_into`] aggregates the values in the order
+/// [`Surrogate::predict_rows`] aggregates member predictions, so a fit and
+/// its extension chains predict bit-identically to the ensembles
+/// `refit_with` chains build.
+///
+/// Every buffer is reused: a fit refilled through
+/// [`SpeculativeFit::set_root`] or [`SpeculativeFit::extend_into`] stops
+/// allocating once it has grown to the largest block and training set it
+/// serves.
+///
+/// # Example
+///
+/// ```
+/// use lynceus_learners::{
+///     BaggingEnsemble, FeatureMatrix, RouteWorkspace, SpeculativeFit, Surrogate, TrainingSet,
+/// };
+///
+/// let mut data = TrainingSet::new(1);
+/// for i in 0..8 {
+///     data.push(vec![i as f64], (i * i) as f64);
+/// }
+/// let mut model = BaggingEnsemble::with_seed(10, 3);
+/// model.fit(&data);
+/// let block = FeatureMatrix::from_rows(1, [[2.5], [9.0]]);
+/// let rows = [0, 1];
+///
+/// // The model's values at the block, extendable up to 16 observations…
+/// let mut root = SpeculativeFit::default();
+/// root.set_root(&model, &block, &rows, Some(16));
+/// // …extended by one speculated observation without building a tree.
+/// let mut child = SpeculativeFit::default();
+/// let mut workspace = RouteWorkspace::default();
+/// root.extend_into(&block, &rows, &[9.0], 81.0, &mut child, &mut workspace);
+///
+/// let (mut speculated, mut refit) = (Vec::new(), Vec::new());
+/// child.predict_into(&mut speculated);
+/// model
+///     .refit_with(&[(&[9.0][..], 81.0)])
+///     .predict_rows(&block, &rows, &mut refit);
+/// assert_eq!(speculated, refit);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpeculativeFit {
+    members: Members,
+    /// Rows in the block the member values cover.
+    rows: usize,
+    /// Member-major leaf values: member `t` at block row `r` is
+    /// `values[t * rows + r]`, meaningful only where `fitted[t]`.
+    values: Vec<f64>,
+    /// Whether each member's resample is non-empty; an unfitted member
+    /// does not vote.
+    fitted: Vec<bool>,
+    /// Target mean of the training set: the prediction when no member is
+    /// fitted (0 for an unfitted ensemble, which has no member and no
+    /// training set, exactly as it predicts).
+    fallback: f64,
+    /// The training-set bound of an extendable fit; `None` when the fit
+    /// only predicts (`data` and `resamples` are then stale).
+    max_training_rows: Option<usize>,
+    data: TrainingSet,
+    /// Each member's resample multiset over `data`, ascending.
+    resamples: Vec<Vec<usize>>,
 }
 
-/// Identity hasher for pointer-valued keys (with a multiplicative mix so the
-/// low alignment bits do not collide every bucket).
-#[derive(Default)]
-pub struct PointerHasher(u64);
-
-impl std::hash::Hasher for PointerHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl Default for SpeculativeFit {
+    /// An empty fit, predicting nothing until it is set or extended into.
+    fn default() -> Self {
+        Self {
+            members: Members::default(),
+            rows: 0,
+            values: Vec::new(),
+            fitted: Vec::new(),
+            fallback: 0.0,
+            max_training_rows: None,
+            data: TrainingSet::new(1),
+            resamples: Vec::new(),
+        }
     }
+}
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+impl SpeculativeFit {
+    /// Refills the fit with `model`'s member values at `rows` of `features`:
+    /// one block descent per fitted member.
+    ///
+    /// With `max_training_rows` set, the fit also copies the model's
+    /// training set and resamples, so it can be extended, and reserves room
+    /// for a training set of that many rows; its extensions inherit the
+    /// bound. With `None` it copies only what
+    /// [`SpeculativeFit::predict_into`] reads.
+    pub fn set_root(
+        &mut self,
+        model: &BaggingEnsemble,
+        features: &FeatureMatrix,
+        rows: &[usize],
+        max_training_rows: Option<usize>,
+    ) {
+        let members = model.members;
+        let width = rows.len();
+        self.members = members;
+        self.rows = width;
+        self.fallback = model.target_mean_fallback();
+        self.values.resize(members.count * width, 0.0);
+        self.fitted.clear();
+        self.fitted.resize(members.count, false);
+        for (t, tree) in model.trees.iter().enumerate() {
+            if tree.is_fitted() {
+                self.fitted[t] = true;
+                tree.predict_values_into(
+                    features,
+                    rows,
+                    &mut self.values[t * width..(t + 1) * width],
+                );
+            }
+        }
+        self.max_training_rows = max_training_rows;
+        let Some(bound) = max_training_rows else {
+            return;
+        };
+        match &model.data {
+            Some(data) => self.data.clone_from(data),
+            None => self.data = TrainingSet::new(features.dims()),
+        }
+        self.data.reserve(bound);
+        self.resamples.resize_with(members.count, Vec::new);
+        for (t, resample) in self.resamples.iter_mut().enumerate() {
+            match model.resamples.get(t) {
+                Some(drawn) => resample.clone_from(drawn),
+                None => resample.clear(),
+            }
+            reserve_total(resample, RESAMPLE_HEADROOM * bound);
         }
     }
 
-    fn write_usize(&mut self, i: usize) {
-        self.0 = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// Writes into `child` this fit extended by the observation
+    /// `(sample, target)`: the fit of the ensemble
+    /// [`BaggingEnsemble::refit_with`] builds from the same observation, at
+    /// the same rows. `features` and `rows` must be the block this fit
+    /// covers; `workspace` holds the rebuilds' buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fit was set without a training-set bound, if `rows` is
+    /// not the size of the fit's block, or if `sample` has the wrong length
+    /// or a non-finite value.
+    pub fn extend_into(
+        &self,
+        features: &FeatureMatrix,
+        rows: &[usize],
+        sample: &[f64],
+        target: f64,
+        child: &mut SpeculativeFit,
+        workspace: &mut RouteWorkspace,
+    ) {
+        let Some(bound) = self.max_training_rows else {
+            panic!("only a fit set with a training-set bound can be extended");
+        };
+        assert_eq!(rows.len(), self.rows, "the fit covers another row block");
+        let members = self.members;
+        let width = self.rows;
+        let headroom = RESAMPLE_HEADROOM * bound;
+        child.members = members;
+        child.rows = width;
+        child.max_training_rows = Some(bound);
+        child.data.clone_from(&self.data);
+        child.data.reserve(bound);
+        child.data.push_row(sample, target);
+        child.fallback = child.data.target_mean();
+        child.values.resize(members.count * width, 0.0);
+        child.fitted.clone_from(&self.fitted);
+        child.resamples.resize_with(members.count, Vec::new);
+        workspace.reserve(headroom, width);
+        let new_sample = self.data.len();
+        for t in 0..members.count {
+            let span = t * width..(t + 1) * width;
+            let resample = &mut child.resamples[t];
+            resample.clone_from(&self.resamples[t]);
+            reserve_total(resample, headroom);
+            let draws = members.draws(t, new_sample);
+            if draws == 0 {
+                // The resample is unchanged, and so is the member.
+                if self.fitted[t] {
+                    child.values[span.clone()].copy_from_slice(&self.values[span]);
+                }
+                continue;
+            }
+            resample.extend(std::iter::repeat_n(new_sample, draws));
+            child.fitted[t] = members.tree(child.data.dims(), t).fit_predict_rows(
+                &child.data,
+                resample,
+                features,
+                rows,
+                &mut child.values[span],
+                workspace,
+            );
+        }
     }
-}
 
-impl RowValueMemo {
-    /// Creates an empty memo.
+    /// The ensemble's predictions at the block rows, in block order:
+    /// element-wise bit-identical to [`Surrogate::predict_rows`] of the
+    /// ensemble the fit stands for. `out` is cleared and refilled.
+    pub fn predict_into(&self, out: &mut Vec<Prediction>) {
+        out.clear();
+        out.resize(self.rows, Prediction::certain(0.0));
+        // A mean pass, then a deviation pass, each over the fitted members
+        // in member order: the accumulation order of `predict_rows`.
+        let mut members = 0usize;
+        for values in self.fitted_values() {
+            members += 1;
+            for (slot, &value) in out.iter_mut().zip(values) {
+                slot.mean += value;
+            }
+        }
+        if members == 0 {
+            out.fill(Prediction::certain(self.fallback));
+            return;
+        }
+        let n = members as f64;
+        for slot in out.iter_mut() {
+            slot.mean /= n;
+        }
+        for values in self.fitted_values() {
+            for (slot, &value) in out.iter_mut().zip(values) {
+                let d = value - slot.mean;
+                slot.std += d * d;
+            }
+        }
+        for slot in out.iter_mut() {
+            slot.std = (slot.std / n).sqrt();
+        }
+    }
+
+    /// The fitted members' values at the block, in member order.
+    fn fitted_values(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.members.count)
+            .filter(|&t| self.fitted[t])
+            .map(|t| &self.values[t * self.rows..(t + 1) * self.rows])
+    }
+
+    /// Number of slots the buffers hold without growing (a capacity
+    /// fingerprint for buffer-reuse tests).
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops every memoized tree (and the `Arc`s keeping them alive) while
-    /// retaining the map's capacity. Callers that reuse one memo across
-    /// decisions **must** clear it whenever the row set changes — the cached
-    /// values are per-row, keyed only by tree identity.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.passes.clear();
-    }
-
-    /// Number of distinct trees memoized.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    pub fn capacity(&self) -> usize {
+        self.values.capacity()
+            + self.fitted.capacity()
+            + self.data.capacity()
+            + self.resamples.capacity()
+            + self.resamples.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -620,8 +729,8 @@ impl Surrogate for BaggingEnsemble {
         if data.is_empty() {
             return;
         }
-        for t in 0..self.n_estimators {
-            let resample = self.resample_indices(t, 0..data.len());
+        for t in 0..self.members.count {
+            let resample = self.members.resample(t, 0..data.len());
             let tree = self.make_tree(data, t, &resample);
             self.trees.push(Arc::new(tree));
             self.resamples.push(Arc::new(resample));
@@ -950,22 +1059,6 @@ mod tests {
         for (slot, &row) in out.iter().zip(&rows) {
             assert_eq!(*slot, model.predict(matrix.row(row)));
         }
-        // Memoized single-traversal form.
-        let mut memoized = Vec::new();
-        let mut memo = RowValueMemo::new();
-        model.predict_rows_memo(&matrix, &rows, &mut memoized, &mut memo);
-        assert_eq!(memoized, out);
-        // Memo hits on a repeat call produce the same values.
-        model.predict_rows_memo(&matrix, &rows, &mut memoized, &mut memo);
-        assert_eq!(memoized, out);
-        // Clearing empties the memo (for reuse under a new row set) and the
-        // next pass repopulates it with identical results.
-        assert!(!memo.is_empty());
-        memo.clear();
-        assert!(memo.is_empty());
-        model.predict_rows_memo(&matrix, &rows, &mut memoized, &mut memo);
-        assert_eq!(memoized, out);
-        assert_eq!(memo.len(), 10);
     }
 
     #[test]
@@ -984,28 +1077,30 @@ mod tests {
         assert_eq!(unfitted.predict_reference(&[1.0]), unfitted.predict(&[1.0]));
     }
 
-    fn tiny_set() -> TrainingSet {
-        let mut data = TrainingSet::new(1);
-        data.push(vec![0.0], 1.0);
-        data.push(vec![1.0], 2.0);
-        data.push(vec![2.0], 4.0);
-        data
+    /// Bit patterns of a prediction batch, so `-0.0`/`0.0` and NaN
+    /// payloads cannot compare equal by accident.
+    fn bits(predictions: &[Prediction]) -> Vec<(u64, u64)> {
+        predictions
+            .iter()
+            .map(|p| (p.mean.to_bits(), p.std.to_bits()))
+            .collect()
     }
 
     #[test]
-    fn flat_pointer_and_memoized_batches_agree_bitwise() {
+    fn flat_pointer_and_speculative_batches_agree_bitwise() {
         let data = noisy_quadratic(45);
         let mut model = BaggingEnsemble::with_seed(12, 19);
         model.fit(&data);
         let matrix = FeatureMatrix::from_rows(1, (0..77).map(|i| [i as f64 * 0.21 - 3.0]));
         let rows: Vec<usize> = (0..matrix.rows()).collect();
-        let (mut flat, mut pointer, mut memoized) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut flat, mut pointer, mut speculative) = (Vec::new(), Vec::new(), Vec::new());
         model.predict_rows(&matrix, &rows, &mut flat);
         model.predict_rows_pointer(&matrix, &rows, &mut pointer);
-        let mut memo = RowValueMemo::new();
-        model.predict_rows_memo(&matrix, &rows, &mut memoized, &mut memo);
-        assert_eq!(flat, pointer, "flat block traversal diverged from pointer");
-        assert_eq!(flat, memoized, "memoized traversal diverged");
+        let mut fit = SpeculativeFit::default();
+        fit.set_root(&model, &matrix, &rows, None);
+        fit.predict_into(&mut speculative);
+        assert_eq!(bits(&flat), bits(&pointer), "flat diverged from pointer");
+        assert_eq!(bits(&flat), bits(&speculative), "speculative fit diverged");
         for (slot, &row) in flat.iter().zip(&rows) {
             assert_eq!(*slot, model.predict(matrix.row(row)));
         }
@@ -1014,96 +1109,99 @@ mod tests {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         unfitted.predict_rows(&matrix, &rows, &mut a);
         unfitted.predict_rows_pointer(&matrix, &rows, &mut b);
+        fit.set_root(&unfitted, &matrix, &rows, None);
+        fit.predict_into(&mut speculative);
         assert_eq!(a, b);
+        assert_eq!(bits(&a), bits(&speculative));
     }
 
-    /// Regression test for the memo overflow policy: crossing the soft
-    /// capacity used to `clear()` the whole memo, evicting *live* shared
-    /// trees mid-decision. Now only retired entries (whose memo `Arc` is
-    /// the last owner) are evicted; the live ensembles' cached values
-    /// survive.
     #[test]
-    fn memo_overflow_evicts_retired_trees_but_keeps_live_ones() {
-        let data = tiny_set();
-        let matrix = FeatureMatrix::from_rows(1, [[0.5], [1.5]]);
-        let rows = [0usize, 1];
-        let mut out = Vec::new();
-        let mut memo = RowValueMemo::new();
-
-        let mut live_a = BaggingEnsemble::with_seed(64, 1);
-        live_a.fit(&data);
-        live_a.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        let a_entries = memo.len();
-        let mut live_b = BaggingEnsemble::with_seed(64, 2);
-        live_b.fit(&data);
-        live_b.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        let b_entries = memo.len() - a_entries;
-
-        // Churn: fit-and-drop ensembles until the memo exceeds the bound.
-        // Every call during the loop starts at or below the bound, so the
-        // eviction first fires on the probe call after the loop.
-        let mut churn_seed = 1000u64;
-        while memo.len() <= MEMO_SOFT_CAPACITY {
-            let mut retired = BaggingEnsemble::with_seed(64, churn_seed);
-            churn_seed += 1;
-            retired.fit(&data);
-            retired.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-            // `retired` drops here: its entries' memo `Arc`s become sole owners.
-        }
-        assert!(memo.len() > MEMO_SOFT_CAPACITY);
-
-        let mut expected = Vec::new();
-        live_a.predict_rows(&matrix, &rows, &mut expected);
-        live_a.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        assert_eq!(out, expected, "eviction corrupted a live ensemble's values");
-        assert_eq!(
-            memo.len(),
-            a_entries + b_entries,
-            "only the two live ensembles' trees may survive the eviction"
-        );
-        // B's cached values survived without B being re-memoized: its call
-        // inserts nothing new.
-        live_b.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        assert_eq!(memo.len(), a_entries + b_entries);
+    fn speculative_root_without_a_bound_copies_no_training_set() {
+        // The LA = 0 root: member values only.
+        let data = noisy_quadratic(30);
+        let mut model = BaggingEnsemble::with_seed(10, 4);
+        model.fit(&data);
+        let matrix = FeatureMatrix::from_rows(1, (0..9).map(|i| [f64::from(i)]));
+        let rows: Vec<usize> = (0..matrix.rows()).collect();
+        let mut fit = SpeculativeFit::default();
+        fit.set_root(&model, &matrix, &rows, None);
+        assert_eq!(fit.data.capacity(), 0, "the training set was copied");
+        assert!(fit.resamples.is_empty(), "the resamples were copied");
+        let (mut expected, mut got) = (Vec::new(), Vec::new());
+        model.predict_rows(&matrix, &rows, &mut expected);
+        fit.predict_into(&mut got);
+        assert_eq!(bits(&expected), bits(&got));
     }
 
-    /// The fallback half of the overflow policy: when every entry is live
-    /// (nothing to retire), the memo falls back to the old full clear so it
-    /// cannot grow without bound.
     #[test]
-    fn memo_overflow_falls_back_to_full_clear_when_nothing_is_retired() {
-        let data = tiny_set();
-        let matrix = FeatureMatrix::from_rows(1, [[0.5], [1.5]]);
-        let rows = [0usize, 1];
-        let mut out = Vec::new();
-        let mut memo = RowValueMemo::new();
-
-        let mut live = BaggingEnsemble::with_seed(64, 1);
-        live.fit(&data);
-        live.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        let live_entries = memo.len();
-
-        let mut held = Vec::new();
-        let mut seed = 2000u64;
-        while memo.len() <= MEMO_SOFT_CAPACITY {
-            let mut other = BaggingEnsemble::with_seed(64, seed);
-            seed += 1;
-            other.fit(&data);
-            other.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-            held.push(other); // kept alive: every entry stays live
-        }
-        assert!(memo.len() > MEMO_SOFT_CAPACITY);
-
-        let mut expected = Vec::new();
-        live.predict_rows(&matrix, &rows, &mut expected);
-        live.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-        assert_eq!(out, expected);
-        assert_eq!(
-            memo.len(),
-            live_entries,
-            "a full clear (then one re-memoized ensemble) was expected"
+    #[should_panic(expected = "training-set bound")]
+    fn speculative_extension_of_a_predict_only_fit_panics() {
+        let mut model = BaggingEnsemble::with_seed(4, 4);
+        model.fit(&noisy_quadratic(6));
+        let matrix = FeatureMatrix::from_rows(1, [[1.0]]);
+        let mut fit = SpeculativeFit::default();
+        fit.set_root(&model, &matrix, &[0], None);
+        let mut child = SpeculativeFit::default();
+        fit.extend_into(
+            &matrix,
+            &[0],
+            &[2.0],
+            4.0,
+            &mut child,
+            &mut RouteWorkspace::default(),
         );
-        drop(held);
+    }
+
+    #[test]
+    fn speculative_extension_of_an_unfitted_root_equals_refit_with() {
+        // `refit_with` on an unfitted ensemble fits the new sample alone;
+        // most members draw nothing and stay unfitted, so the prediction
+        // falls back to the target mean or averages the few that did.
+        let matrix = FeatureMatrix::from_rows(1, [[0.5], [3.0]]);
+        let rows = [0usize, 1];
+        for seed in 0..16 {
+            let unfitted = BaggingEnsemble::with_seed(3, seed);
+            let mut root = SpeculativeFit::default();
+            root.set_root(&unfitted, &matrix, &rows, Some(4));
+            let mut child = SpeculativeFit::default();
+            let mut workspace = RouteWorkspace::default();
+            root.extend_into(&matrix, &rows, &[2.0], 7.0, &mut child, &mut workspace);
+            let (mut expected, mut got) = (Vec::new(), Vec::new());
+            unfitted
+                .refit_with(&[(&[2.0][..], 7.0)])
+                .predict_rows(&matrix, &rows, &mut expected);
+            child.predict_into(&mut got);
+            assert_eq!(bits(&expected), bits(&got), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn speculative_fits_stop_growing_once_sized() {
+        let data = noisy_quadratic(12);
+        let mut model = BaggingEnsemble::with_seed(10, 8);
+        model.fit(&data);
+        let matrix = FeatureMatrix::from_rows(1, (0..20).map(|i| [f64::from(i) * 0.5]));
+        let rows: Vec<usize> = (0..matrix.rows()).collect();
+        let (mut root, mut child) = (SpeculativeFit::default(), SpeculativeFit::default());
+        let mut workspace = RouteWorkspace::default();
+        let mut signatures = Vec::new();
+        for step in 0..6 {
+            root.set_root(&model, &matrix, &rows, Some(40));
+            root.extend_into(
+                &matrix,
+                &rows,
+                &[7.5],
+                50.0 + f64::from(step),
+                &mut child,
+                &mut workspace,
+            );
+            signatures.push(root.capacity() + child.capacity() + workspace.capacity());
+            model = model.refit_with(&[(&[f64::from(step)][..], f64::from(step * step))]);
+        }
+        assert!(
+            signatures.windows(2).all(|w| w[0] == w[1]),
+            "{signatures:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,13 @@
 //! * [`RegressionTree`] — a CART-style regression tree with optional random
 //!   feature sub-sampling at each split;
 //! * [`BaggingEnsemble`] — bootstrap aggregation of randomized trees, the
-//!   paper's surrogate.
+//!   paper's surrogate;
+//! * [`SpeculativeFit`] — a bagging ensemble reduced to its members' values
+//!   at a fixed row block, which the optimizer's speculation engine extends
+//!   by one speculated observation at a time without building a tree,
+//!   bit-identically to
+//!   [`BaggingEnsemble::refit_with`] followed by
+//!   [`Surrogate::predict_rows`].
 //!
 //! # Example
 //!
@@ -38,6 +44,6 @@ pub mod bagging;
 pub mod model;
 pub mod tree;
 
-pub use bagging::{BaggingEnsemble, RowValueMemo};
+pub use bagging::{BaggingEnsemble, SpeculativeFit};
 pub use model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
-pub use tree::RegressionTree;
+pub use tree::{RegressionTree, RouteWorkspace};

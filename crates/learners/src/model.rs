@@ -4,15 +4,32 @@
 /// and one target (the measured cost) per profiled configuration.
 ///
 /// Features are stored row-major in one flat allocation, so cloning a
-/// training set — which the speculation engine does once per incremental
-/// surrogate extension — is two `memcpy`s instead of one heap allocation per
-/// observation, and row access during tree construction stays
-/// cache-friendly.
-#[derive(Debug, Clone, PartialEq)]
+/// training set — which the speculation engine does once per speculated
+/// observation — is two `memcpy`s instead of one heap allocation per
+/// observation (none at all through `clone_from` into a buffer that has
+/// grown), and row access during tree construction stays cache-friendly.
+#[derive(Debug, PartialEq)]
 pub struct TrainingSet {
     dims: usize,
     features: Vec<f64>,
     targets: Vec<f64>,
+}
+
+impl Clone for TrainingSet {
+    fn clone(&self) -> Self {
+        Self {
+            dims: self.dims,
+            features: self.features.clone(),
+            targets: self.targets.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.dims = source.dims;
+        self.features.clone_from(&source.features);
+        self.targets.clone_from(&source.targets);
+    }
 }
 
 impl TrainingSet {
@@ -75,6 +92,19 @@ impl TrainingSet {
         assert!(target.is_finite(), "target must be finite");
         self.features.extend_from_slice(features);
         self.targets.push(target);
+    }
+
+    /// Grows the buffers to hold `rows` observations in total without
+    /// reallocating.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        reserve_total(&mut self.features, rows * self.dims);
+        reserve_total(&mut self.targets, rows);
+    }
+
+    /// Number of `f64` slots the buffers hold without growing (a capacity
+    /// fingerprint for buffer-reuse tests).
+    pub(crate) fn capacity(&self) -> usize {
+        self.features.capacity() + self.targets.capacity()
     }
 
     /// Number of observations.
@@ -165,6 +195,12 @@ impl TrainingSet {
             .copied()
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
     }
+}
+
+/// Grows `buffer`'s capacity to at least `total` elements (`Vec::reserve`
+/// counts from the current length instead).
+pub(crate) fn reserve_total<T>(buffer: &mut Vec<T>, total: usize) {
+    buffer.reserve(total.saturating_sub(buffer.len()));
 }
 
 /// A dense, row-major matrix of feature vectors.

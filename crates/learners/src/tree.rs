@@ -7,7 +7,7 @@
 //! criterion is variance reduction, the standard CART criterion for
 //! regression.
 
-use crate::model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
+use crate::model::{reserve_total, FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use lynceus_math::rng::SeededRng;
 
 /// A node of the fitted tree.
@@ -294,16 +294,77 @@ impl RegressionTree {
         );
         let mut rng = SeededRng::new(self.seed);
         let mut owned: Vec<usize> = indices.to_vec();
-        let mut workspace = BuildWorkspace {
-            values: Vec::with_capacity(indices.len()),
-            partition: Vec::with_capacity(indices.len()),
-        };
-        let root = self.build(data, &mut owned, 0, &mut rng, &mut workspace);
+        let mut buffers = SplitBuffers::default();
+        let root = self.build(data, &mut owned, 0, &mut rng, &mut buffers);
         debug_assert_eq!(root, 0, "the root must be the first node");
         // Flatten once per fit: every subsequent traversal of the tree runs
         // on the contiguous table instead of chasing enum nodes.
         self.flat = FlatNodes::build(&self.nodes);
         self.fitted = true;
+    }
+
+    /// The fused fit-and-route builder: builds the tree this configuration
+    /// would fit on the resample multiset `indices` of `data` (exactly as
+    /// [`RegressionTree::fit_indexed`] does), sends rows `rows` of `features`
+    /// down each split as the split is chosen, and writes each row's leaf
+    /// value into `out` — storing no node. Returns false, leaving `out`
+    /// untouched, when `indices` is empty (the tree would be unfitted).
+    ///
+    /// Bit-identical to `fit_indexed` followed by
+    /// [`RegressionTree::predict_values_into`]: both builders run the same
+    /// split search, and rows are routed with the flat descent's select
+    /// (`x <= threshold` goes left, NaN goes right, a missing feature reads
+    /// 0.0). This `self` is only read for its hyper-parameters and seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` and `out` have different lengths or an index is out
+    /// of range.
+    pub(crate) fn fit_predict_rows(
+        &self,
+        data: &TrainingSet,
+        indices: &[usize],
+        features: &FeatureMatrix,
+        rows: &[usize],
+        out: &mut [f64],
+        workspace: &mut RouteWorkspace,
+    ) -> bool {
+        assert_eq!(rows.len(), out.len(), "one output slot per row");
+        if indices.is_empty() {
+            return false;
+        }
+        assert!(
+            indices.iter().all(|&i| i < data.len()),
+            "resample index out of range"
+        );
+        let RouteWorkspace {
+            indices: owned,
+            route,
+            split,
+        } = workspace;
+        owned.clear();
+        owned.extend_from_slice(indices);
+        route.clear();
+        route.extend(0..rows.len());
+        let build = RouteBuild {
+            tree: self,
+            data,
+            features,
+            rows,
+            // Without a feature draw the build consumes no randomness, so a
+            // subtree no row reaches can be skipped without shifting any
+            // later node's draws.
+            draws: self.draws_features(data.dims()),
+        };
+        let mut rng = SeededRng::new(self.seed);
+        build.node(owned, route, 0, &mut rng, split, out);
+        true
+    }
+
+    /// True when the split search draws a random feature subset (and so
+    /// consumes the build's random stream) on `dims`-dimensional data.
+    fn draws_features(&self, dims: usize) -> bool {
+        matches!(self.feature_subsample, Some(k) if k < dims)
     }
 
     /// The original (pre-overhaul) tree construction, retained verbatim so
@@ -520,26 +581,25 @@ impl RegressionTree {
         }
     }
 
-    fn build(
-        &mut self,
+    /// The node split search, shared by both builders ([`RegressionTree::build`]
+    /// and the fused [`RegressionTree::fit_predict_rows`]) so their
+    /// arithmetic cannot drift apart: the node mean, the leaf tests, the
+    /// feature draw, the running-sum scan, the threshold and the stable
+    /// partition. Returns the node mean and, when a split wins, the split —
+    /// with `indices` partitioned so its first `left_len` entries are the
+    /// left child's samples.
+    fn split_node(
+        &self,
         data: &TrainingSet,
         indices: &mut [usize],
         depth: usize,
         rng: &mut SeededRng,
-        workspace: &mut BuildWorkspace,
-    ) -> usize {
+        buffers: &mut SplitBuffers,
+    ) -> (f64, Option<NodeSplit>) {
         // Aggregate the node's targets in index order (the same accumulation
         // order a materialized target vector would produce).
         let target_of = |i: usize| data.targets()[i];
         let mean = indices.iter().map(|&i| target_of(i)).sum::<f64>() / indices.len() as f64;
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf {
-                value: mean,
-                count: indices.len(),
-            });
-            nodes.len() - 1
-        };
 
         let first_target = target_of(indices[0]);
         if depth >= self.max_depth
@@ -548,14 +608,22 @@ impl RegressionTree {
                 .iter()
                 .all(|&i| (target_of(i) - first_target).abs() < 1e-12)
         {
-            return make_leaf(&mut self.nodes);
+            return (mean, None);
         }
 
         let dims = data.dims();
-        let candidate_features: Vec<usize> = match self.feature_subsample {
-            Some(k) if k < dims => rng.sample_indices(dims, k),
-            _ => (0..dims).collect(),
-        };
+        let SplitBuffers {
+            values,
+            partition,
+            features: candidate_features,
+        } = buffers;
+        match self.feature_subsample {
+            Some(k) if k < dims => *candidate_features = rng.sample_indices(dims, k),
+            _ => {
+                candidate_features.clear();
+                candidate_features.extend(0..dims);
+            }
+        }
 
         let parent_sse: f64 = indices
             .iter()
@@ -565,11 +633,9 @@ impl RegressionTree {
             })
             .sum();
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        for &feature in &candidate_features {
-            // `workspace.values` is reusable: split selection finishes
-            // before the recursion below, so one buffer serves every node of
-            // the tree.
-            let values = &mut workspace.values;
+        for &feature in candidate_features.iter() {
+            // `values` is reusable: split selection finishes before the
+            // caller recurses, so one buffer serves every node of the tree.
             values.clear();
             values.extend(
                 indices
@@ -617,29 +683,55 @@ impl RegressionTree {
         }
 
         let Some((feature, threshold, _)) = best else {
-            return make_leaf(&mut self.nodes);
+            return (mean, None);
         };
 
         let goes_left = |i: usize| data.feature(i, feature) <= threshold;
         let left_len = indices.iter().filter(|&&i| goes_left(i)).count();
         if left_len == 0 || left_len == indices.len() {
-            return make_leaf(&mut self.nodes);
+            return (mean, None);
         }
         // Stable in-place partition via the shared scratch buffer: the same
         // sequences `Iterator::partition` would produce, without allocating
         // per node.
-        stable_partition_in_place(indices, &mut workspace.partition, goes_left);
+        stable_partition_in_place(indices, partition, goes_left);
+        (
+            mean,
+            Some(NodeSplit {
+                feature,
+                threshold,
+                left_len,
+            }),
+        )
+    }
 
-        // Reserve this node's slot before recursing so children indices are
-        // stable.
+    fn build(
+        &mut self,
+        data: &TrainingSet,
+        indices: &mut [usize],
+        depth: usize,
+        rng: &mut SeededRng,
+        buffers: &mut SplitBuffers,
+    ) -> usize {
+        let (mean, split) = self.split_node(data, indices, depth, rng, buffers);
+        // A leaf, or this split node's reserved slot: reserving it before
+        // recursing keeps the children's indices stable.
         self.nodes.push(Node::Leaf {
             value: mean,
             count: indices.len(),
         });
         let me = self.nodes.len() - 1;
+        let Some(NodeSplit {
+            feature,
+            threshold,
+            left_len,
+        }) = split
+        else {
+            return me;
+        };
         let (left_idx, right_idx) = indices.split_at_mut(left_len);
-        let left = self.build(data, left_idx, depth + 1, rng, workspace);
-        let right = self.build(data, right_idx, depth + 1, rng, workspace);
+        let left = self.build(data, left_idx, depth + 1, rng, buffers);
+        let right = self.build(data, right_idx, depth + 1, rng, buffers);
         self.nodes[me] = Node::Split {
             feature,
             threshold,
@@ -647,6 +739,77 @@ impl RegressionTree {
             right,
         };
         me
+    }
+}
+
+/// A split chosen by [`RegressionTree::split_node`]: go left when
+/// `features[feature] <= threshold`; after the partition the node's first
+/// `left_len` samples are the left child's.
+struct NodeSplit {
+    feature: usize,
+    threshold: f64,
+    left_len: usize,
+}
+
+/// The read-only inputs of one [`RegressionTree::fit_predict_rows`] build.
+struct RouteBuild<'a> {
+    tree: &'a RegressionTree,
+    data: &'a TrainingSet,
+    features: &'a FeatureMatrix,
+    rows: &'a [usize],
+    /// Whether the split search draws features (see
+    /// [`RegressionTree::draws_features`]).
+    draws: bool,
+}
+
+impl RouteBuild<'_> {
+    /// Builds the node over the samples `indices` in pre-order (left
+    /// subtree before right, so random draws happen in the build's order)
+    /// and writes the leaf value of every routed row: `route` holds the
+    /// positions in `rows`/`out` of the rows that reach this node.
+    fn node(
+        &self,
+        indices: &mut [usize],
+        route: &mut [usize],
+        depth: usize,
+        rng: &mut SeededRng,
+        buffers: &mut SplitBuffers,
+        out: &mut [f64],
+    ) {
+        if route.is_empty() && !self.draws {
+            return;
+        }
+        let (mean, split) = self
+            .tree
+            .split_node(self.data, indices, depth, rng, buffers);
+        let Some(NodeSplit {
+            feature,
+            threshold,
+            left_len,
+        }) = split
+        else {
+            for &position in route.iter() {
+                out[position] = mean;
+            }
+            return;
+        };
+        // The flat descent's select: `x <= threshold` goes left, so NaN
+        // goes right, and a missing feature reads 0.0. Row order within a
+        // node never matters (each row's value is written on its own), so
+        // an unstable in-place partition will do.
+        let mut routed_left = 0usize;
+        for i in 0..route.len() {
+            let row = self.features.row(self.rows[route[i]]);
+            let x = row.get(feature).copied().unwrap_or(0.0);
+            if x <= threshold {
+                route.swap(i, routed_left);
+                routed_left += 1;
+            }
+        }
+        let (left_idx, right_idx) = indices.split_at_mut(left_len);
+        let (left_route, right_route) = route.split_at_mut(routed_left);
+        self.node(left_idx, left_route, depth + 1, rng, buffers, out);
+        self.node(right_idx, right_route, depth + 1, rng, buffers, out);
     }
 }
 
@@ -673,12 +836,50 @@ fn stable_partition_in_place<F: Fn(usize) -> bool>(
     items[write..].copy_from_slice(scratch);
 }
 
-/// Reusable buffers of one optimized tree construction.
-struct BuildWorkspace {
+/// Reusable buffers of the node split search.
+#[derive(Debug, Default)]
+struct SplitBuffers {
     /// `(feature value, target)` pairs of the node under consideration.
     values: Vec<(f64, f64)>,
     /// Scratch for the stable in-place index partition.
     partition: Vec<usize>,
+    /// The node's candidate split features.
+    features: Vec<usize>,
+}
+
+/// Reusable buffers of the member rebuilds in
+/// [`SpeculativeFit::extend_into`](crate::SpeculativeFit::extend_into): a
+/// caller that keeps one per thread rebuilds allocation-free once the
+/// buffers have grown to its largest resample and row block.
+#[derive(Debug, Default)]
+pub struct RouteWorkspace {
+    /// The resample multiset, partitioned in place as the build descends.
+    indices: Vec<usize>,
+    /// Positions of the routed rows, partitioned in place per split.
+    route: Vec<usize>,
+    split: SplitBuffers,
+}
+
+impl RouteWorkspace {
+    /// Grows the buffers to hold a resample of `samples` draws routing
+    /// `rows` rows without reallocating.
+    pub(crate) fn reserve(&mut self, samples: usize, rows: usize) {
+        reserve_total(&mut self.indices, samples);
+        reserve_total(&mut self.split.values, samples);
+        reserve_total(&mut self.split.partition, samples);
+        reserve_total(&mut self.route, rows);
+    }
+
+    /// Number of slots the buffers hold without growing (a capacity
+    /// fingerprint for buffer-reuse tests).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.indices.capacity()
+            + self.route.capacity()
+            + self.split.values.capacity()
+            + self.split.partition.capacity()
+            + self.split.features.capacity()
+    }
 }
 
 impl Surrogate for RegressionTree {
@@ -918,6 +1119,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The fused fit-and-route builder against `fit_indexed` followed by
+    /// the block descent: random resample multisets with repeats, feature
+    /// draws (`feature_subsample < dims` from 4 dims up), tied features and
+    /// repeated targets, adversarial rows (NaN, ±infinity, signed zero,
+    /// rows exactly on a threshold) in a permuted row order, and rows
+    /// narrower than the training data (a missing feature reads 0.0).
+    #[test]
+    fn speculative_fused_builder_matches_fit_then_block_descent() {
+        use crate::model::FeatureMatrix;
+        use lynceus_math::rng::SeededRng;
+        let mut rng = SeededRng::new(0x5EC7);
+        let mut workspace = RouteWorkspace::default();
+        let mut built_any = false;
+        for round in 0..120usize {
+            let dims = 1 + round % 6;
+            let n = 1 + rng.below(25);
+            let mut data = TrainingSet::new(dims);
+            for _ in 0..n {
+                data.push(
+                    (0..dims).map(|_| rng.below(5) as f64).collect(),
+                    rng.below(4) as f64 * 10.0,
+                );
+            }
+            let indices: Vec<usize> = (0..n)
+                .flat_map(|i| std::iter::repeat_n(i, rng.below(3)))
+                .collect();
+            let tree = RegressionTree::new()
+                .with_max_depth(1 + rng.below(10))
+                .with_min_samples_leaf(1 + rng.below(2))
+                .with_feature_subsample(1 + rng.below(dims))
+                .with_seed(rng.next_u64());
+            let mut fitted = tree.clone();
+            fitted.fit_indexed(&data, &indices);
+
+            let mut queries: Vec<Vec<f64>> = (0..30)
+                .map(|_| (0..dims).map(|_| rng.uniform(-1.0, 5.0)).collect())
+                .collect();
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 2.0] {
+                queries.push(vec![special; dims]);
+            }
+            for node in &fitted.nodes {
+                if let Node::Split {
+                    feature, threshold, ..
+                } = node
+                {
+                    let mut exact = vec![1.0; dims];
+                    exact[*feature] = *threshold;
+                    queries.push(exact);
+                }
+            }
+            let narrow_dims = dims.max(2) - 1;
+            for block in [
+                FeatureMatrix::from_rows(dims, &queries),
+                FeatureMatrix::from_rows(narrow_dims, queries.iter().map(|q| &q[..narrow_dims])),
+            ] {
+                let rows: Vec<usize> = (0..block.rows()).rev().collect();
+                let mut expected = vec![0.0; rows.len()];
+                fitted.predict_values_into(&block, &rows, &mut expected);
+                let mut routed = vec![f64::NAN; rows.len()];
+                let built = tree.fit_predict_rows(
+                    &data,
+                    &indices,
+                    &block,
+                    &rows,
+                    &mut routed,
+                    &mut workspace,
+                );
+                assert_eq!(built, fitted.is_fitted(), "round {round}");
+                if built {
+                    built_any = true;
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&routed), bits(&expected), "round {round}");
+                }
+            }
+        }
+        assert!(built_any);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! tests draw their cases from [`SeededRng`]: every property is checked over
 //! a deterministic stream of randomized datasets.
 
-use lynceus_learners::{BaggingEnsemble, FeatureMatrix, RegressionTree, Surrogate, TrainingSet};
+use lynceus_learners::{
+    BaggingEnsemble, FeatureMatrix, Prediction, RegressionTree, RouteWorkspace, SpeculativeFit,
+    Surrogate, TrainingSet,
+};
 use lynceus_math::rng::SeededRng;
 
 /// A small random one-dimensional regression problem.
@@ -120,4 +123,101 @@ fn batched_predictions_match_single_predictions_on_random_data() {
             assert_eq!(*p, model.predict(matrix.row(i)));
         }
     }
+}
+
+/// A configuration-space-shaped row: features on a small integer grid, so
+/// values tie across rows.
+fn grid_row(rng: &mut SeededRng, dims: usize) -> Vec<f64> {
+    (0..dims).map(|_| rng.below(4) as f64).collect()
+}
+
+/// A target from a small set, so targets repeat.
+fn grid_target(rng: &mut SeededRng) -> f64 {
+    10.0 + rng.below(3) as f64 * 5.0
+}
+
+fn bits(predictions: &[Prediction]) -> Vec<(u64, u64)> {
+    predictions
+        .iter()
+        .map(|p| (p.mean.to_bits(), p.std.to_bits()))
+        .collect()
+}
+
+/// A root fit and its chains of 1–3 extensions predict bit for bit what
+/// the `refit_with` chains they stand for predict, over seeds × {1, 10}
+/// trees × {1, 3, 6} dims (6 draws features at every split) × training sets
+/// of {1, 2, 7, 15} rows (1–2 rows leave members unfitted).
+#[test]
+fn speculative_extension_chains_match_refit_chains_bitwise() {
+    const EXTENSIONS: usize = 3;
+    let mut rng = SeededRng::new(0x5BEC);
+    let mut workspace = RouteWorkspace::default();
+    let mut chain = vec![SpeculativeFit::default(); EXTENSIONS + 1];
+    let (mut expected, mut got) = (Vec::new(), Vec::new());
+    let mut fits = 0usize;
+    let mut fallbacks = 0usize;
+    for _ in 0..40 {
+        for trees in [1usize, 10] {
+            for dims in [1usize, 3, 6] {
+                for len in [1usize, 2, 7, 15] {
+                    let mut data = TrainingSet::new(dims);
+                    for _ in 0..len {
+                        data.push(grid_row(&mut rng, dims), grid_target(&mut rng));
+                    }
+                    let mut model = BaggingEnsemble::with_seed(trees, rng.next_u64());
+                    model.fit(&data);
+                    // The block: grid rows, rows exactly between grid values
+                    // (where thresholds fall), and NaN/infinite rows.
+                    let mut block_rows: Vec<Vec<f64>> =
+                        (0..12).map(|_| grid_row(&mut rng, dims)).collect();
+                    block_rows.push(vec![1.5; dims]);
+                    block_rows.push(vec![f64::NAN; dims]);
+                    block_rows.push(vec![f64::INFINITY; dims]);
+                    let block = FeatureMatrix::from_rows(dims, &block_rows);
+                    let rows: Vec<usize> = (0..block.rows()).collect();
+
+                    chain[0].set_root(&model, &block, &rows, Some(len + EXTENSIONS));
+                    model.predict_rows(&block, &rows, &mut expected);
+                    chain[0].predict_into(&mut got);
+                    assert_eq!(bits(&expected), bits(&got), "root, {len} rows");
+                    fits += 1;
+
+                    let mut refit = model;
+                    for depth in 1..=EXTENSIONS {
+                        // Speculated costs are Gauss–Hermite nodes: arbitrary
+                        // floats, or a repeat of an observed cost.
+                        let sample = grid_row(&mut rng, dims);
+                        let target = if depth == 2 {
+                            grid_target(&mut rng)
+                        } else {
+                            rng.uniform(1.0, 40.0)
+                        };
+                        let (parents, children) = chain.split_at_mut(depth);
+                        parents[depth - 1].extend_into(
+                            &block,
+                            &rows,
+                            &sample,
+                            target,
+                            &mut children[0],
+                            &mut workspace,
+                        );
+                        refit = refit.refit_with(&[(&sample[..], target)]);
+                        refit.predict_rows(&block, &rows, &mut expected);
+                        children[0].predict_into(&mut got);
+                        assert_eq!(
+                            bits(&expected),
+                            bits(&got),
+                            "extension {depth}: {trees} trees, {dims} dims, {len} rows"
+                        );
+                        if refit.member_predictions(&sample).len() < trees {
+                            fallbacks += 1;
+                        }
+                        fits += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(fits, 40 * 2 * 3 * 4 * (EXTENSIONS + 1));
+    assert!(fallbacks > 0, "no chain left a member unfitted");
 }

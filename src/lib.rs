@@ -199,15 +199,18 @@
 //! branch-and-bound search (see below). The engine (see
 //! [`core::PathEngine`]) is built around seven ideas:
 //!
-//! * **Batched, tree-major prediction** — each (real or speculated) state is
-//!   scored with one [`learners::Surrogate::predict_rows`] pass over a
-//!   precomputed row-major [`learners::FeatureMatrix`], into reusable
-//!   buffers; a per-decision memo ([`learners::RowValueMemo`]) lets member
-//!   trees shared between speculative ensembles be traversed once per
-//!   decision instead of once per state. The engines gather the decision's
-//!   untested rows into one dense row block (`prepare_root`) that every
-//!   Gauss–Hermite branch of every candidate at every speculation level
-//!   streams, instead of re-materializing scattered rows per candidate.
+//! * **Tree-free speculative surrogates over one row block** — the engines
+//!   gather the decision's untested rows into one dense row block
+//!   (`prepare_root`), the only rows any state of the decision is scored
+//!   at. The root pass descends each member tree of the real surrogate
+//!   over that block once per decision. Every speculated state's surrogate
+//!   is then a [`learners::SpeculativeFit`]: each member's values at the
+//!   block, plus the training set and Poisson resamples needed to extend
+//!   it by one more observation — no tree. Scoring a state aggregates the
+//!   member values (a mean pass, then a deviation pass, in member order)
+//!   into reusable buffers, bit-identically to
+//!   [`learners::Surrogate::predict_rows`] on the ensemble the fit stands
+//!   for.
 //! * **Flat struct-of-arrays tree tables** — fitting a
 //!   [`learners::RegressionTree`] also lays the tree out as three
 //!   contiguous arrays (`feature`, `threshold`, packed child indices with
@@ -222,10 +225,17 @@
 //!   it by a seeded adversarial sweep (NaN, ±inf, subnormals,
 //!   exact-threshold rows) plus every engine-equivalence suite.
 //! * **Incremental surrogate extension** — bootstrap resamples use
-//!   counter-based Poisson(1) counts, so
-//!   [`learners::BaggingEnsemble::refit_with`] extends a fitted ensemble by
-//!   one speculated sample while rebuilding only the member trees whose
-//!   resample draws it (~63%), bit-identically to a from-scratch fit.
+//!   counter-based Poisson(1) counts, so extending a surrogate by one
+//!   observation rebuilds only the members whose resample draws it (~63%),
+//!   bit-identically to a from-scratch fit.
+//!   [`learners::BaggingEnsemble::refit_with`] extends the real surrogate
+//!   after every profiling run. [`learners::SpeculativeFit::extend_into`]
+//!   extends a speculated one: it copies the values of the members that do
+//!   not draw the new sample and rebuilds the others with a fused
+//!   fit-and-route builder (`RegressionTree::fit_predict_rows`) that sends
+//!   the block rows down each split as it chooses the split and stores no
+//!   node. Both builders share one split search, so their
+//!   arithmetic cannot drift apart.
 //! * **Copy-on-write speculation** — [`core::SpeculativeCursor`] overlays
 //!   speculated observations on the real search state with push/pop
 //!   semantics instead of cloning the whole state per branch.
@@ -268,16 +278,19 @@
 //!   74% of candidates at `LA = 2` and 62% at `LA = 3` (at `LA = 4`,
 //!   where exhaustive expansion is intractable, the pruned run completes
 //!   with 38% skipped), for a per-decision speedup over exhaustive
-//!   expansion of about 2–2.3× (best-of-two samples; the host's timing noise
-//!   makes finer point estimates unstable across runs). Cold-start runs
-//!   on the Scout dataset prune a more modest 8–22% — early-run scores
-//!   cluster too tightly to separate — and run at ~1.0–1.2×.
+//!   expansion of about 2.2× (the median of 3 interleaved sample ratios,
+//!   published with their range). Cold-start runs on the Scout dataset
+//!   prune a more modest 8–22% — early-run scores cluster too tightly to
+//!   separate — and their ratios' spread exceeds their distance from 1,
+//!   so those cells publish `null`.
 //!
-//! Per-decision state lives in a Driver-owned arena (prediction buffers, Γ
-//! extraction, bound/dispatch buffers, per-worker scratch recycling, and an
-//! `O(1)`-per-push speculated-membership mask replacing per-candidate
-//! speculation-stack scans), so a run performs a bounded number of heap
-//! allocations after its first decision regardless of length.
+//! Per-decision state lives in a Driver-owned arena (prediction buffers,
+//! the root and per-level speculative fits, Γ extraction, bound/dispatch
+//! buffers, per-worker scratch recycling with each worker's branch fits and
+//! rebuild workspace, and an `O(1)`-per-push speculated-membership mask
+//! replacing per-candidate speculation-stack scans), so a run performs a
+//! bounded number of heap allocations after its first decision regardless
+//! of length.
 //!
 //! The budget filter implements the switching-aware `Γ` of Algorithm 2:
 //! profiling `x` charges both the run cost *and* the cost of switching the
@@ -334,12 +347,16 @@
 //! decisions (asserted by the `engine_equivalence` tests) and anchors the
 //! `micro_components` benchmark, whose results are committed in
 //! `BENCH_baseline.json`. The purely algorithmic (sequential) speedup of a
-//! lookahead-2 decision is ~3.2× (component level: incremental refit ~7×
-//! vs the reference fit, memoized batched prediction ~18× vs
-//! per-configuration prediction, and the flat block traversal 1.9× vs the
-//! retained pointer walk on a 1-CPU container, 3.4× on the 2-vCPU host of
-//! the committed baseline — the `flat_traversal` cell, which `bench_check`
-//! gates at ≥ 1.0 with the bit-identity flag asserted). The artifacts also
+//! lookahead-2 decision is ~3.6× on the committed baseline's 2-vCPU host
+//! (component level: incremental refit ~5.4× vs the reference fit; one
+//! speculative extension with its predictions ~1.6× vs `refit_with`
+//! followed by `predict_rows`, at 40 training rows and 256 block rows —
+//! the `speculative_extension` cell, bit-identity asserted; and the flat
+//! block traversal 1.9× vs the retained pointer walk on a 1-CPU container,
+//! 2.8–3.4× on 2-vCPU hosts — the `flat_traversal` cell, which
+//! `bench_check` gates at ≥ 1.0 with the bit-identity flag asserted). The
+//! host's timing drifts between runs, so these ratios move by tens of
+//! percent from one regeneration to the next. The artifacts also
 //! carry fixed 4-thread cells (`lookahead2_multicore` and the lookahead
 //! bench's `multicore_cells`) so a multicore box only has to re-run the
 //! benches; on a host with fewer than 4 CPUs they are honest

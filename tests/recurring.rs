@@ -19,7 +19,10 @@
 //!    (the checkpoint carries the attached prior instead).
 //! 5. **Format upgrades** — golden blobs written by the previous formats
 //!    (a KNOW v1 record, a checkpoint v2 blob) still decode, and the
-//!    suspended session they describe resumes bit-identically.
+//!    suspended session they describe resumes bit-identically; golden blobs
+//!    of the current formats (KNOW v2, checkpoint v3) are written byte for
+//!    byte by today's encoders, so a byte change without a version bump
+//!    fails here.
 
 use lynceus::core::transfer::{DirStore, MemoryStore};
 use lynceus::core::{
@@ -383,6 +386,12 @@ const CHECKPOINT_V2: &[u8] = include_bytes!("fixtures/formats/checkpoint_v2.bin"
 /// The step at which the checkpoint fixture's session was suspended.
 const FIXTURE_SUSPENDED_AT: usize = 6;
 
+/// Golden blobs of the current formats, for the same chain: the KNOW v2
+/// record run 1 harvests, and the checkpoint v3 blob of warm run 2 (started
+/// from that record) suspended by `with_step_limit(6)`.
+const KNOW_V2: &[u8] = include_bytes!("fixtures/formats/know_v2.bin");
+const CHECKPOINT_V3: &[u8] = include_bytes!("fixtures/formats/checkpoint_v3.bin");
+
 /// The version word of a KNOW or checkpoint blob: it follows the magic's
 /// 8-byte length prefix and 4 bytes.
 fn version_of(bytes: &[u8]) -> u32 {
@@ -477,4 +486,74 @@ fn previous_format_fixtures_decode_and_resume_bit_identically() {
             Err(CodecError::Invalid("unsupported checkpoint version"))
         );
     }
+}
+
+#[test]
+fn current_format_fixtures_are_rewritten_byte_for_byte_and_resume_bit_identically() {
+    assert_eq!(version_of(KNOW_V2), 2);
+    assert_eq!(version_of(CHECKPOINT_V3), 3);
+
+    // Decoding and re-encoding each fixture is the identity.
+    let knowledge = JobKnowledge::decode(KNOW_V2).expect("a KNOW v2 record decodes");
+    assert_eq!(knowledge.encode(), KNOW_V2);
+    let checkpoint =
+        SessionCheckpoint::decode(CHECKPOINT_V3).expect("a checkpoint v3 blob decodes");
+    assert_eq!(checkpoint.encode(), CHECKPOINT_V3);
+    assert_eq!(checkpoint.steps(), FIXTURE_SUSPENDED_AT as u64);
+
+    // This code's encoders write the same bytes for the same run: run 1
+    // harvests the KNOW fixture…
+    let cold_store: Arc<dyn KnowledgeStore> = Arc::new(MemoryStore::new());
+    let service = TuningService::with_threads(2).with_knowledge_store(Arc::clone(&cold_store));
+    service.submit(chain_spec(PathEngine::BoundAndPrune, 0));
+    assert!(matches!(
+        service.run()[0].status,
+        SessionStatus::Finished(_)
+    ));
+    assert_eq!(
+        cold_store.load(JOB).as_deref(),
+        Some(KNOW_V2),
+        "run 1 harvested different KNOW bytes"
+    );
+
+    // …and warm run 2, suspended at the fixture's step, checkpoints the
+    // checkpoint fixture.
+    let warm_store = || -> Arc<dyn KnowledgeStore> {
+        let store = MemoryStore::new();
+        store.save(JOB, KNOW_V2);
+        Arc::new(store)
+    };
+    let key = format!("recurring-{:?}-run1", PathEngine::BoundAndPrune);
+    let checkpoints: Arc<dyn CheckpointStore> = Arc::new(lynceus::core::MemoryStore::new());
+    let doomed = TuningService::with_threads(2)
+        .with_knowledge_store(warm_store())
+        .with_checkpoints(Arc::clone(&checkpoints));
+    doomed.submit(
+        chain_spec(PathEngine::BoundAndPrune, 1).with_step_limit(FIXTURE_SUSPENDED_AT as u64),
+    );
+    assert!(matches!(
+        doomed.run()[0].status,
+        SessionStatus::Suspended { steps } if steps == FIXTURE_SUSPENDED_AT as u64
+    ));
+    assert_eq!(
+        checkpoints.load(&key).as_deref(),
+        Some(CHECKPOINT_V3),
+        "the suspension wrote different checkpoint bytes"
+    );
+
+    // Resuming the fixture finishes bit-identically to the uninterrupted
+    // warm run 2.
+    let service = TuningService::with_threads(2).with_knowledge_store(warm_store());
+    service.submit(chain_spec(PathEngine::BoundAndPrune, 1));
+    let reference = service.run().remove(0);
+    assert!(reference.report().is_some(), "{:?}", reference.status);
+    let checkpoints: Arc<dyn CheckpointStore> = Arc::new(lynceus::core::MemoryStore::new());
+    checkpoints.save(&key, CHECKPOINT_V3);
+    let revived = TuningService::with_threads(2)
+        .with_knowledge_store(warm_store())
+        .with_checkpoints(checkpoints);
+    revived.restore(chain_spec(PathEngine::BoundAndPrune, 1));
+    let resumed = revived.run().remove(0);
+    assert_eq!(resumed.report(), reference.report());
+    assert_eq!(resumed.receipts, reference.receipts);
 }
