@@ -740,7 +740,14 @@ impl LynceusOptimizer {
         let base_len = ctx.base_ids.len();
         let gamma = &*gamma;
         let root_fit = &root.fit;
-        let init = || WorkerLease::take(workers, base_len);
+        let configs = driver.feature_matrix().rows();
+        let init = || {
+            let mut lease = WorkerLease::take(workers);
+            lease
+                .get()
+                .prepare(base_len, root_fit, configs, ctx.rule.len(), lookahead);
+            lease
+        };
         let expand = |lease: &mut WorkerLease<'_>, g: usize| -> CandidateOutcome {
             ctx.expand_candidate(
                 root_fit,
@@ -1019,6 +1026,69 @@ struct BranchScratch {
     workspace: RouteWorkspace,
 }
 
+impl BranchScratch {
+    /// Readies the scratch for a decision over `base_len` untested
+    /// configurations whose expansions extend `root_fit`. Every buffer is
+    /// sized for the run's largest expansion — all `configs` configurations
+    /// in the block, every one profiled, `nodes` Gauss–Hermite branches per
+    /// level, `lookahead` levels — so a worker scratch's capacity is fixed
+    /// from its first lease on, whichever candidates the schedule hands it
+    /// (the reservations are no-ops from then on).
+    fn prepare(
+        &mut self,
+        base_len: usize,
+        root_fit: &SpeculativeFit,
+        configs: usize,
+        nodes: usize,
+        lookahead: usize,
+    ) {
+        self.mask.clear();
+        self.mask.reserve(configs);
+        self.mask.resize(base_len, false);
+        // Every buffer below is cleared before its next use, so clearing
+        // here only makes the reservations count from empty.
+        self.root_nodes.clear();
+        self.root_nodes.reserve(nodes);
+        self.branch_next.clear();
+        self.branch_next.reserve(nodes);
+        if self.branch_fits.len() < nodes {
+            self.branch_fits.resize_with(nodes, SpeculativeFit::default);
+        }
+        if self.levels.len() < lookahead + 1 {
+            self.levels.resize_with(lookahead + 1, Scratch::default);
+        }
+        for fit in &mut self.branch_fits {
+            root_fit.reserve_extension(configs, fit, &mut self.workspace);
+        }
+        for level in &mut self.levels {
+            root_fit.reserve_extension(configs, &mut level.fit, &mut self.workspace);
+            level.predictions.clear();
+            level.predictions.reserve(configs);
+            level.pairs.clear();
+            level.pairs.reserve(configs);
+            level.nodes.clear();
+            level.nodes.reserve(nodes);
+        }
+    }
+
+    /// Summed buffer capacities (see [`DecisionScratch::capacity_signature`]).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.mask.capacity()
+            + self.root_nodes.capacity()
+            + self.branch_fits.capacity()
+            + self
+                .branch_fits
+                .iter()
+                .map(SpeculativeFit::capacity)
+                .sum::<usize>()
+            + self.branch_next.capacity()
+            + self.workspace.capacity()
+            + self.levels.capacity()
+            + self.levels.iter().map(Scratch::capacity).sum::<usize>()
+    }
+}
+
 /// A per-worker [`BranchScratch`] checked out of the decision's recycler:
 /// taken when a pool worker initializes, returned (with capacities intact)
 /// when the worker finishes — which is what makes the arena survive across
@@ -1029,10 +1099,8 @@ struct WorkerLease<'a> {
 }
 
 impl<'a> WorkerLease<'a> {
-    fn take(home: &'a Mutex<Vec<BranchScratch>>, base_len: usize) -> Self {
-        let mut scratch = crate::poison::lock(home).pop().unwrap_or_default();
-        scratch.mask.clear();
-        scratch.mask.resize(base_len, false);
+    fn take(home: &'a Mutex<Vec<BranchScratch>>) -> Self {
+        let scratch = crate::poison::lock(home).pop().unwrap_or_default();
         Self {
             home,
             scratch: Some(scratch),
@@ -1088,29 +1156,15 @@ pub(crate) struct DecisionScratch {
 
 impl DecisionScratch {
     /// A coarse fingerprint of the arena's reserved capacities, used by the
-    /// reuse tests: once the first decisions have sized the buffers, the
-    /// signature must stay constant — per-decision heap growth would show up
-    /// as a growing signature.
+    /// reuse tests: the summed capacities of the decision-wide buffers, and
+    /// one sum per worker scratch in the recycler. Once the first decisions
+    /// have sized the buffers, neither may change — per-decision heap growth
+    /// would show up as a growing signature.
     #[cfg(test)]
-    pub(crate) fn capacity_signature(&self) -> usize {
+    pub(crate) fn capacity_signature(&self) -> (usize, Vec<usize>) {
         let workers = self.workers.lock().expect("scratch recycler poisoned");
-        let worker_capacity: usize = workers
-            .iter()
-            .map(|w| {
-                w.mask.capacity()
-                    + w.root_nodes.capacity()
-                    + w.branch_fits.capacity()
-                    + w.branch_fits
-                        .iter()
-                        .map(SpeculativeFit::capacity)
-                        .sum::<usize>()
-                    + w.branch_next.capacity()
-                    + w.workspace.capacity()
-                    + w.levels.capacity()
-                    + w.levels.iter().map(Scratch::capacity).sum::<usize>()
-            })
-            .sum();
-        self.base_ids.capacity()
+        let worker_capacities = workers.iter().map(BranchScratch::capacity).collect();
+        let shared = self.base_ids.capacity()
             + self.block.capacity()
             + self.block_rows.capacity()
             + self.positions.capacity()
@@ -1123,8 +1177,28 @@ impl DecisionScratch {
             + self.bounds.capacity()
             + self.cont.capacity()
             + self.order.capacity()
-            + workers.capacity()
-            + worker_capacity
+            + workers.capacity();
+        (shared, worker_capacities)
+    }
+
+    /// The capacity of a worker scratch freshly prepared for extending this
+    /// arena's root fit (see [`BranchScratch::prepare`]).
+    #[cfg(test)]
+    pub(crate) fn prepared_worker_capacity(
+        &self,
+        configs: usize,
+        nodes: usize,
+        lookahead: usize,
+    ) -> usize {
+        let mut scratch = BranchScratch::default();
+        scratch.prepare(
+            self.base_ids.len(),
+            &self.root.fit,
+            configs,
+            nodes,
+            lookahead,
+        );
+        scratch.capacity()
     }
 }
 
@@ -2389,34 +2463,62 @@ mod tests {
     #[test]
     fn decision_arena_stops_growing_after_the_first_decisions() {
         let oracle = valley_oracle();
-        // Sequential, so one worker scratch carries every expansion: on the
-        // pool a second worker may first join a later decision, which adds
-        // a whole worker scratch to the recycler — a schedule effect, not
-        // buffer growth.
-        let optimizer = LynceusOptimizer::new(OptimizerSettings {
-            parallel_paths: false,
-            ..settings(1_500.0, 2)
-        });
-        let mut session = LynceusSession::new(&optimizer, &oracle, 3);
-        let mut signatures = Vec::new();
-        while let SessionStep::Profiled(_) = session.step().expect("healthy oracle") {
-            signatures.push(session.decision_scratch().capacity_signature());
-        }
-        // Bootstrap steps never touch the arena; the first decision sizes it
-        // for the largest untested set of the run and later (smaller)
-        // decisions must reuse those buffers without growing them.
-        let decisions: Vec<usize> = signatures.into_iter().filter(|&s| s > 0).collect();
-        assert!(
-            decisions.len() >= 3,
-            "run too short to observe reuse: {decisions:?}"
-        );
-        let settled = decisions[1];
-        assert!(settled > 0);
-        for (i, &signature) in decisions.iter().enumerate().skip(2) {
-            assert_eq!(
-                signature, settled,
-                "decision {i} grew the arena: {decisions:?}"
+        // Sequentially one worker scratch carries every expansion; on the
+        // default pool the schedule decides which worker expands which
+        // candidate, and a second worker may first join a later decision.
+        for parallel_paths in [false, true] {
+            let settings = OptimizerSettings {
+                parallel_paths,
+                ..settings(1_500.0, 2)
+            };
+            let optimizer = LynceusOptimizer::new(settings.clone());
+            let mut session = LynceusSession::new(&optimizer, &oracle, 3);
+            let configs = session.driver.feature_matrix().rows();
+            let mut shared = Vec::new();
+            let mut leased = 0;
+            while let SessionStep::Profiled(_) = session.step().expect("healthy oracle") {
+                let arena = session.decision_scratch();
+                let (decision, workers) = arena.capacity_signature();
+                // One scratch per pool lane at most, however the decisions
+                // were scheduled.
+                assert!(
+                    workers.len() <= pool::default_threads(),
+                    "{} worker scratches for {} lanes",
+                    workers.len(),
+                    pool::default_threads()
+                );
+                // Every worker scratch holds exactly what its first lease
+                // reserved for the run, whenever it joined and whatever the
+                // schedule handed it since.
+                let prepared = arena.prepared_worker_capacity(
+                    configs,
+                    settings.gauss_hermite_nodes,
+                    settings.lookahead,
+                );
+                assert!(
+                    workers.iter().all(|&w| w == prepared),
+                    "a worker scratch grew past its lease (parallel_paths \
+                     {parallel_paths}): {workers:?} vs {prepared}"
+                );
+                leased = leased.max(workers.len());
+                shared.push(decision);
+            }
+            // Bootstrap steps never touch the arena; the first decision
+            // sizes it for the largest untested set of the run and later
+            // (smaller) decisions must reuse those buffers without growing
+            // them.
+            let decisions: Vec<usize> = shared.into_iter().filter(|&s| s > 0).collect();
+            assert!(
+                decisions.len() >= 3 && leased > 0,
+                "run too short to observe reuse: {decisions:?}"
             );
+            let settled = decisions[1];
+            for (i, &signature) in decisions.iter().enumerate().skip(2) {
+                assert_eq!(
+                    signature, settled,
+                    "decision {i} grew the arena (parallel_paths {parallel_paths}): {decisions:?}"
+                );
+            }
         }
     }
 

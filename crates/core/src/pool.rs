@@ -19,7 +19,7 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
 /// Upper bound on workers: one per available CPU.
-fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)

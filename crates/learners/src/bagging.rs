@@ -640,7 +640,7 @@ impl SpeculativeFit {
         child.values.resize(members.count * width, 0.0);
         child.fitted.clone_from(&self.fitted);
         child.resamples.resize_with(members.count, Vec::new);
-        workspace.reserve(headroom, width);
+        workspace.reserve(headroom, width, self.data.dims());
         let new_sample = self.data.len();
         for t in 0..members.count {
             let span = t * width..(t + 1) * width;
@@ -665,6 +665,35 @@ impl SpeculativeFit {
                 workspace,
             );
         }
+    }
+
+    /// Grows `child` and `workspace` to hold any extension of this fit over
+    /// a block of up to `rows` rows, so [`SpeculativeFit::extend_into`]
+    /// fills them without reallocating. The capacities depend only on
+    /// `rows` and this fit's members, dimensions and training-set bound, not
+    /// on which extensions the buffers serve.
+    pub fn reserve_extension(
+        &self,
+        rows: usize,
+        child: &mut SpeculativeFit,
+        workspace: &mut RouteWorkspace,
+    ) {
+        let count = self.members.count;
+        reserve_total(&mut child.values, count * rows);
+        reserve_total(&mut child.fitted, count);
+        let Some(bound) = self.max_training_rows else {
+            return;
+        };
+        let dims = self.data.dims();
+        if child.data.dims() != dims {
+            child.data = TrainingSet::new(dims);
+        }
+        child.data.reserve(bound);
+        child.resamples.resize_with(count, Vec::new);
+        for resample in &mut child.resamples {
+            reserve_total(resample, RESAMPLE_HEADROOM * bound);
+        }
+        workspace.reserve(RESAMPLE_HEADROOM * bound, rows, dims);
     }
 
     /// The ensemble's predictions at the block rows, in block order:
@@ -1202,6 +1231,40 @@ mod tests {
             signatures.windows(2).all(|w| w[0] == w[1]),
             "{signatures:?}"
         );
+    }
+
+    #[test]
+    fn speculative_reserved_extension_buffers_never_grow() {
+        let data = noisy_quadratic(12);
+        let mut model = BaggingEnsemble::with_seed(10, 8);
+        model.fit(&data);
+        let matrix = FeatureMatrix::from_rows(1, (0..20).map(|i| [f64::from(i) * 0.5]));
+        let rows: Vec<usize> = (0..matrix.rows()).collect();
+        let mut root = SpeculativeFit::default();
+        root.set_root(&model, &matrix, &rows, Some(30));
+        // Reserved for the whole matrix up front, the child and workspace
+        // hold every extension over any narrower block and any training set
+        // within the bound without growing.
+        let (mut child, mut workspace) = (SpeculativeFit::default(), RouteWorkspace::default());
+        root.reserve_extension(matrix.rows(), &mut child, &mut workspace);
+        let reserved = child.capacity() + workspace.capacity();
+        let mut fresh = (SpeculativeFit::default(), RouteWorkspace::default());
+        root.reserve_extension(matrix.rows(), &mut fresh.0, &mut fresh.1);
+        assert_eq!(fresh.0.capacity() + fresh.1.capacity(), reserved);
+        for step in 0..12 {
+            let width = matrix.rows() - step;
+            root.set_root(&model, &matrix, &rows[..width], Some(30));
+            root.extend_into(
+                &matrix,
+                &rows[..width],
+                &[7.5],
+                50.0 + f64::from(step as u32),
+                &mut child,
+                &mut workspace,
+            );
+            assert_eq!(child.capacity() + workspace.capacity(), reserved);
+            model = model.refit_with(&[(&[step as f64][..], (step * step) as f64)]);
+        }
     }
 
     #[test]

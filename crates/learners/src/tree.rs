@@ -618,7 +618,7 @@ impl RegressionTree {
             features: candidate_features,
         } = buffers;
         match self.feature_subsample {
-            Some(k) if k < dims => *candidate_features = rng.sample_indices(dims, k),
+            Some(k) if k < dims => rng.sample_indices_into(dims, k, candidate_features),
             _ => {
                 candidate_features.clear();
                 candidate_features.extend(0..dims);
@@ -861,12 +861,13 @@ pub struct RouteWorkspace {
 }
 
 impl RouteWorkspace {
-    /// Grows the buffers to hold a resample of `samples` draws routing
-    /// `rows` rows without reallocating.
-    pub(crate) fn reserve(&mut self, samples: usize, rows: usize) {
+    /// Grows the buffers to hold a resample of `samples` draws of
+    /// `dims`-dimensional data routing `rows` rows without reallocating.
+    pub(crate) fn reserve(&mut self, samples: usize, rows: usize, dims: usize) {
         reserve_total(&mut self.indices, samples);
         reserve_total(&mut self.split.values, samples);
         reserve_total(&mut self.split.partition, samples);
+        reserve_total(&mut self.split.features, dims);
         reserve_total(&mut self.route, rows);
     }
 

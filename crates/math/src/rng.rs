@@ -172,14 +172,27 @@ impl SeededRng {
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut pool = Vec::new();
+        self.sample_indices_into(n, k, &mut pool);
+        pool
+    }
+
+    /// [`SeededRng::sample_indices`] into a reused buffer (cleared first):
+    /// the same draws from the same stream, without allocating once `out`
+    /// holds `n` indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct indices out of {n}");
-        let mut pool: Vec<usize> = (0..n).collect();
+        out.clear();
+        out.extend(0..n);
         for i in 0..k {
             let j = i + self.below(n - i);
-            pool.swap(i, j);
+            out.swap(i, j);
         }
-        pool.truncate(k);
-        pool
+        out.truncate(k);
     }
 
     /// Picks one element of a slice uniformly at random.
