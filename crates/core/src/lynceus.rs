@@ -1126,7 +1126,8 @@ impl Drop for WorkerLease<'_> {
 /// The Driver-owned per-decision arena of the overlay engines. Every buffer
 /// is `clear()`ed and refilled per decision, so across the decisions of a
 /// run the engine performs a bounded number of heap allocations: capacities
-/// are established by the first (largest) decision and reused from then on
+/// are established by the first (largest) decision, a worker scratch's at
+/// its first lease ([`BranchScratch::prepare`]), and reused from then on
 /// (`tests` assert the signature stabilizes).
 #[derive(Default)]
 pub(crate) struct DecisionScratch {
@@ -1415,25 +1416,20 @@ impl BatchedCtx<'_> {
             MIN_STEP_COST,
             root_nodes,
         );
-        if levels.len() < depth_left + 2 {
-            levels.resize_with(depth_left + 2, Scratch::default);
-        }
         let x_position = self.positions[candidate.id.index()] as usize;
         let x_features = self.driver.features_of(candidate.id);
 
-        // Phase A: exact first level.
-        // Grow only: a degenerate discretization yields fewer nodes, and
-        // truncating would drop fits whose buffers later branches reuse.
-        if branch_fits.len() < root_nodes.len() {
-            branch_fits.resize_with(root_nodes.len(), SpeculativeFit::default);
-        }
+        // Phase A: exact first level. `prepare` made one branch fit per
+        // node of the rule (a degenerate discretization yields fewer nodes;
+        // the spare fits keep their buffers).
+        debug_assert!(branch_fits.len() >= root_nodes.len());
         branch_next.clear();
         let mut exact_reward = candidate.eic;
         let mut exact_cost = first_step_cost;
         {
             let (first, _) = levels
                 .split_first_mut()
-                // lint: allow(no-panic) -- arena invariant: levels was resized to depth_left + 2 ≥ 2 entries just above
+                // lint: allow(no-panic) -- arena invariant: prepare sized levels to lookahead + 1 = depth_left + 2 ≥ 2 entries
                 .expect("at least one scratch level");
             for (&node, branch_fit) in root_nodes.iter().zip(branch_fits.iter_mut()) {
                 let mut cursor = SpeculativeCursor::new(&self.driver.state);
@@ -1524,7 +1520,7 @@ impl BatchedCtx<'_> {
         {
             let (first, rest) = levels
                 .split_first_mut()
-                // lint: allow(no-panic) -- arena invariant: levels still holds the depth_left + 2 entries sized in phase A
+                // lint: allow(no-panic) -- arena invariant: prepare sized levels to lookahead + 1 = depth_left + 2 ≥ 2 entries
                 .expect("at least one scratch level");
             for k in 0..root_nodes.len() {
                 let Some((next, r1, next_switch)) = branch_next[k] else {
@@ -1619,7 +1615,7 @@ impl BatchedCtx<'_> {
         let x_features = self.driver.features_of(x.id);
         let (child, grandchildren) = deeper
             .split_first_mut()
-            // lint: allow(no-panic) -- arena invariant: the entry sizing reserved depth_left + 2 levels, one per recursion step
+            // lint: allow(no-panic) -- arena invariant: prepare sized lookahead + 1 levels, one per recursion step
             .expect("scratch levels cover the lookahead depth");
         for &node in nodes.iter() {
             cursor.push(x.id, node.value, node.value <= constraint_cap);

@@ -607,7 +607,9 @@ impl SpeculativeFit {
     /// `(sample, target)`: the fit of the ensemble
     /// [`BaggingEnsemble::refit_with`] builds from the same observation, at
     /// the same rows. `features` and `rows` must be the block this fit
-    /// covers; `workspace` holds the rebuilds' buffers.
+    /// covers; `workspace` holds the rebuilds' buffers. Once
+    /// [`SpeculativeFit::reserve_extension`] has sized `child` and
+    /// `workspace`, the call allocates nothing.
     ///
     /// # Panics
     ///
@@ -629,24 +631,20 @@ impl SpeculativeFit {
         assert_eq!(rows.len(), self.rows, "the fit covers another row block");
         let members = self.members;
         let width = self.rows;
-        let headroom = RESAMPLE_HEADROOM * bound;
         child.members = members;
         child.rows = width;
         child.max_training_rows = Some(bound);
         child.data.clone_from(&self.data);
-        child.data.reserve(bound);
         child.data.push_row(sample, target);
         child.fallback = child.data.target_mean();
         child.values.resize(members.count * width, 0.0);
         child.fitted.clone_from(&self.fitted);
         child.resamples.resize_with(members.count, Vec::new);
-        workspace.reserve(headroom, width, self.data.dims());
         let new_sample = self.data.len();
         for t in 0..members.count {
             let span = t * width..(t + 1) * width;
             let resample = &mut child.resamples[t];
             resample.clone_from(&self.resamples[t]);
-            reserve_total(resample, headroom);
             let draws = members.draws(t, new_sample);
             if draws == 0 {
                 // The resample is unchanged, and so is the member.
@@ -1211,46 +1209,16 @@ mod tests {
         model.fit(&data);
         let matrix = FeatureMatrix::from_rows(1, (0..20).map(|i| [f64::from(i) * 0.5]));
         let rows: Vec<usize> = (0..matrix.rows()).collect();
-        let (mut root, mut child) = (SpeculativeFit::default(), SpeculativeFit::default());
-        let mut workspace = RouteWorkspace::default();
-        let mut signatures = Vec::new();
-        for step in 0..6 {
-            root.set_root(&model, &matrix, &rows, Some(40));
-            root.extend_into(
-                &matrix,
-                &rows,
-                &[7.5],
-                50.0 + f64::from(step),
-                &mut child,
-                &mut workspace,
-            );
-            signatures.push(root.capacity() + child.capacity() + workspace.capacity());
-            model = model.refit_with(&[(&[f64::from(step)][..], f64::from(step * step))]);
-        }
-        assert!(
-            signatures.windows(2).all(|w| w[0] == w[1]),
-            "{signatures:?}"
-        );
-    }
-
-    #[test]
-    fn speculative_reserved_extension_buffers_never_grow() {
-        let data = noisy_quadratic(12);
-        let mut model = BaggingEnsemble::with_seed(10, 8);
-        model.fit(&data);
-        let matrix = FeatureMatrix::from_rows(1, (0..20).map(|i| [f64::from(i) * 0.5]));
-        let rows: Vec<usize> = (0..matrix.rows()).collect();
         let mut root = SpeculativeFit::default();
         root.set_root(&model, &matrix, &rows, Some(30));
-        // Reserved for the whole matrix up front, the child and workspace
-        // hold every extension over any narrower block and any training set
-        // within the bound without growing.
+        let root_capacity = root.capacity();
+        // Reserved for the whole matrix up front, the child and the
+        // workspace hold every extension over any narrower block and any
+        // training set within the bound without growing, and the
+        // reservation depends on nothing else.
         let (mut child, mut workspace) = (SpeculativeFit::default(), RouteWorkspace::default());
         root.reserve_extension(matrix.rows(), &mut child, &mut workspace);
         let reserved = child.capacity() + workspace.capacity();
-        let mut fresh = (SpeculativeFit::default(), RouteWorkspace::default());
-        root.reserve_extension(matrix.rows(), &mut fresh.0, &mut fresh.1);
-        assert_eq!(fresh.0.capacity() + fresh.1.capacity(), reserved);
         for step in 0..12 {
             let width = matrix.rows() - step;
             root.set_root(&model, &matrix, &rows[..width], Some(30));
@@ -1258,11 +1226,15 @@ mod tests {
                 &matrix,
                 &rows[..width],
                 &[7.5],
-                50.0 + f64::from(step as u32),
+                50.0 + step as f64,
                 &mut child,
                 &mut workspace,
             );
+            assert_eq!(root.capacity(), root_capacity, "step {step}");
             assert_eq!(child.capacity() + workspace.capacity(), reserved);
+            let mut fresh = (SpeculativeFit::default(), RouteWorkspace::default());
+            root.reserve_extension(matrix.rows(), &mut fresh.0, &mut fresh.1);
+            assert_eq!(fresh.0.capacity() + fresh.1.capacity(), reserved);
             model = model.refit_with(&[(&[step as f64][..], (step * step) as f64)]);
         }
     }
