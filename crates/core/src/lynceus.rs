@@ -147,19 +147,23 @@ pub enum PathEngine {
     /// root sample) and are dominated by the same few high-EIc
     /// configurations — but nothing guarantees it: real sessions exist
     /// where a tail outgrows the allowance and the pruned decision differs
-    /// from exhaustive expansion, and since `T` is whatever the already
-    /// expanded candidates measured, which candidates are pruned can depend
-    /// on the thread schedule (ROADMAP item 1). Guard rails where the
-    /// premise is known to fail: until a first tail is measured every
-    /// candidate expands unconditionally; before the first feasible
-    /// observation in `Σ` (replayed prior observations count) the fallback
-    /// incumbent (`max cost + 3σ`) can grow along a path, so those
-    /// decisions disable pruning and expand exhaustively; and at `LA = 1`
-    /// there is no deep tail, so every candidate is scored exactly. The
-    /// seeded cross-engine suites (`tests/bound_and_prune.rs`,
-    /// `tests/engine_equivalence.rs`, `tests/pool_matrix.rs`) pin
-    /// bit-identical reports against both retained engines at
-    /// `LA ∈ {1, 2, 3}` across seeds, switching models and worker counts.
+    /// from exhaustive expansion (ROADMAP item 1). On the pool, `T` and the
+    /// incumbent a candidate is tested against are whatever the candidates
+    /// finished so far measured, so after the fan-out the engine replays
+    /// every prune test in dispatch order: it expands a candidate the
+    /// schedule pruned too early and drops one the dispatch order prunes,
+    /// so decisions and prune counts are the sequential ones at every
+    /// thread count. Guard rails where the premise is known to fail: until
+    /// a first tail is measured every candidate expands unconditionally;
+    /// before the first feasible observation in `Σ` (replayed prior
+    /// observations count) the fallback incumbent (`max cost + 3σ`) can
+    /// grow along a path, so those decisions disable pruning and expand
+    /// exhaustively; and at `LA = 1` there is no deep tail, so every
+    /// candidate is scored exactly. The seeded cross-engine suites
+    /// (`tests/bound_and_prune.rs`, `tests/engine_equivalence.rs`,
+    /// `tests/pool_matrix.rs`) pin bit-identical reports against both
+    /// retained engines at `LA ∈ {1, 2, 3}` across seeds, switching models
+    /// and worker counts.
     #[default]
     BoundAndPrune,
     /// The [`PathEngine::BoundAndPrune`] expansion with pruning switched
@@ -718,8 +722,9 @@ impl LynceusOptimizer {
         // The incumbent (best exact score so far) lives in one atomic cell,
         // encoded with the order-preserving `score_key` mapping so
         // `fetch_max` implements the lock-free monotone maximum; 0 is the
-        // "no incumbent yet" sentinel below every real key. A stale read
-        // only reduces pruning, never changes any result.
+        // "no incumbent yet" sentinel below every real key. On the pool a
+        // test sees only the candidates finished so far; the dispatch-order
+        // replay after the fan-out makes the result the sequential one.
         // ------------------------------------------------------------------
         // Both cells restart at zero every decision: scores decay as Σ
         // grows, so seeding the incumbent with a stale (prior-decision or
@@ -764,17 +769,32 @@ impl LynceusOptimizer {
         } else {
             1
         };
-        let outcomes: Vec<CandidateOutcome> = match &self.pool {
+        let mut outcomes: Vec<CandidateOutcome> = match &self.pool {
             Some(shared) => shared.run_order_with(gamma.len(), threads, order, init, expand),
             None => pool::run_order_with(gamma.len(), threads, order, init, expand),
         };
+        if prunable {
+            let mut lease = None;
+            replay_in_dispatch_order(order, &mut outcomes, |g| {
+                let lease = lease.get_or_insert_with(&init);
+                ctx.expand_candidate(
+                    root_fit,
+                    &gamma[g],
+                    lookahead,
+                    lease.get(),
+                    &AtomicU64::new(0),
+                    &AtomicU64::new(0),
+                    false,
+                )
+            });
+        }
 
         let decision = PruneStats {
             decisions: 1,
             candidates: gamma_size as u64,
             pruned: outcomes
                 .iter()
-                .filter(|outcome| matches!(outcome, CandidateOutcome::Pruned))
+                .filter(|outcome| outcome.scored.is_none())
                 .count() as u64,
         };
         crate::poison::lock(&self.counters.0).absorb(&decision);
@@ -784,11 +804,11 @@ impl LynceusOptimizer {
         // maximum, so under the tail premise (its deep tail stays within the
         // κ·T allowance) its exact score can neither win nor tie: skipping
         // it reproduces the exhaustive argmax (including the last-of-equals
-        // tie-break) for any schedule. The premise is a calibration, not a
-        // proof (see [`PathEngine::BoundAndPrune`]).
+        // tie-break). The premise is a calibration, not a proof (see
+        // [`PathEngine::BoundAndPrune`]).
         let mut best: Option<(ConfigId, f64)> = None;
         for (g, outcome) in outcomes.iter().enumerate() {
-            if let CandidateOutcome::Scored(score) = outcome {
+            if let Some((score, _)) = &outcome.scored {
                 let replace = best
                     .as_ref()
                     .is_none_or(|(_, incumbent)| score_cmp(*score, *incumbent).is_ge());
@@ -803,12 +823,72 @@ impl LynceusOptimizer {
 
 /// What happened to one root candidate during branch-and-bound expansion.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum CandidateOutcome {
-    /// The candidate's bound could not beat the incumbent; its deep subtree
-    /// was never started.
-    Pruned,
-    /// The candidate was expanded exhaustively; its exact score.
-    Scored(f64),
+struct CandidateOutcome {
+    /// The exact reward and expected cost of the candidate's first level
+    /// (phase A of [`BatchedCtx::expand_candidate`]), which its bound reads.
+    exact_reward: f64,
+    exact_cost: f64,
+    /// The exact score and the measured deep tail of an expanded
+    /// candidate; `None` when its bound could not beat the incumbent and
+    /// its deep subtree was never started.
+    scored: Option<(f64, f64)>,
+}
+
+impl CandidateOutcome {
+    /// The candidate's bound against the tail anchor `tail_key` (the
+    /// [`score_key`] of the largest deep tail measured; 0 while none is):
+    /// NaN until a tail has been measured.
+    fn bound(&self, tail_key: u64) -> f64 {
+        if tail_key == 0 {
+            f64::NAN
+        } else {
+            (self.exact_reward + PRUNE_TAIL_DRIFT * score_from_key(tail_key))
+                / self.exact_cost.max(MIN_STEP_COST)
+        }
+    }
+}
+
+/// Whether a candidate with `bound` is pruned against the incumbent key
+/// `best_key` (0 while there is none). A NaN bound signals degenerate
+/// arithmetic (or no tail anchor yet); expanding is always safe (the exact
+/// score decides), pruning on it would not be.
+fn prunes(bound: f64, best_key: u64) -> bool {
+    !bound.is_nan() && score_key(bound) < best_key
+}
+
+/// Replays a fan-out's prune tests in dispatch `order`, as one worker runs
+/// them: each candidate's bound against the incumbent and tail anchor of
+/// the candidates expanded before it. In parallel a test sees whichever
+/// candidates have finished, so a schedule can prune a candidate the
+/// dispatch order expands, or expand one it prunes. The replay expands the
+/// former through `expand` (with pruning off) and drops the latter, so
+/// `outcomes` end as the dispatch order's on every schedule; after a
+/// sequential fan-out it changes nothing.
+fn replay_in_dispatch_order(
+    order: &[usize],
+    outcomes: &mut [CandidateOutcome],
+    mut expand: impl FnMut(usize) -> CandidateOutcome,
+) {
+    let (mut best_key, mut tail_key) = (0u64, 0u64);
+    for &g in order {
+        let outcome = &mut outcomes[g];
+        if prunes(outcome.bound(tail_key), best_key) {
+            outcome.scored = None;
+            continue;
+        }
+        if outcome.scored.is_none() {
+            *outcome = expand(g);
+        }
+        if let Some((score, tail)) = outcome.scored {
+            // The same publications as `expand_candidate`'s fetch_max calls.
+            if !score.is_nan() {
+                best_key = best_key.max(score_key(score));
+            }
+            if tail > 0.0 {
+                tail_key = tail_key.max(score_key(tail));
+            }
+        }
+    }
 }
 
 /// The speculated switching charge actually applied along a speculation
@@ -1489,25 +1569,27 @@ impl BatchedCtx<'_> {
                 // merely prune less, never differently.
                 incumbent.fetch_max(score_key(score), Ordering::Relaxed);
             }
-            return CandidateOutcome::Scored(score);
+            return CandidateOutcome {
+                exact_reward,
+                exact_cost,
+                scored: Some((score, 0.0)),
+            };
         }
+        let mut outcome = CandidateOutcome {
+            exact_reward,
+            exact_cost,
+            scored: None,
+        };
         // The bound needs a measured tail anchor; until one exists (the
         // first best-first expansion publishes it) the candidate expands
-        // unconditionally. A NaN bound signals degenerate arithmetic;
-        // expanding is always safe (the exact score decides), pruning on it
-        // would not be.
+        // unconditionally.
         // ordering: Relaxed — monotone fetch_max bound cells carry the whole
-        // message in their u64 key; a stale view only weakens pruning.
-        let observed = observed_tail.load(Ordering::Relaxed);
-        let bound = if observed == 0 {
-            f64::NAN
-        } else {
-            (exact_reward + PRUNE_TAIL_DRIFT * score_from_key(observed))
-                / exact_cost.max(MIN_STEP_COST)
-        };
+        // message in their u64 key; a stale view only changes which
+        // candidates the dispatch-order replay re-expands or drops.
+        let bound = outcome.bound(observed_tail.load(Ordering::Relaxed));
         // ordering: Relaxed — same monotone-bound argument as the load above.
-        if prunable && !bound.is_nan() && score_key(bound) < incumbent.load(Ordering::Relaxed) {
-            return CandidateOutcome::Pruned;
+        if prunable && prunes(bound, incumbent.load(Ordering::Relaxed)) {
+            return outcome;
         }
 
         // Phase B: deep expansion only — each live branch resumes from its
@@ -1571,7 +1653,8 @@ impl BatchedCtx<'_> {
             // key is the whole message, missed updates only weaken pruning.
             observed_tail.fetch_max(score_key(tail), Ordering::Relaxed);
         }
-        CandidateOutcome::Scored(score)
+        outcome.scored = Some((score, tail));
+        outcome
     }
 
     /// The overlay-based transcription of `ExplorePaths`: reward and cost of
@@ -2375,6 +2458,97 @@ mod tests {
         let stats = optimizer.prune_stats();
         assert!(stats.decisions > 0 && stats.candidates > 0, "{stats:?}");
         assert_eq!(stats.pruned, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn dispatch_order_replay_reproduces_the_sequential_fan_out_on_any_schedule() {
+        // Synthetic decisions: each candidate's exact first level and its
+        // unpruned (score, tail), with NaN scores and zero tails mixed in.
+        // The reference is one worker running `expand_candidate`'s test in
+        // dispatch order, publishing as it goes; a schedule is any
+        // pattern of candidates its workers pruned, since a worker may see
+        // any subset of the others' publications.
+        let mut rng = SeededRng::new(21);
+        let (mut replays, mut dropped) = (0, 0);
+        for _ in 0..400 {
+            let n = 2 + rng.below(14);
+            let full: Vec<CandidateOutcome> = (0..n)
+                .map(|_| {
+                    let exact_reward = rng.uniform(0.0, 4.0);
+                    let exact_cost = rng.uniform(0.5, 3.0);
+                    let tail = if rng.below(4) == 0 {
+                        0.0
+                    } else {
+                        rng.uniform(0.0, 2.0)
+                    };
+                    let score = if rng.below(16) == 0 {
+                        f64::NAN
+                    } else {
+                        (exact_reward + tail) / rng.uniform(0.8, 1.2) / exact_cost
+                    };
+                    CandidateOutcome {
+                        exact_reward,
+                        exact_cost,
+                        scored: Some((score, tail)),
+                    }
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+
+            let (mut incumbent, mut observed_tail) = (0u64, 0u64);
+            let mut sequential = full.clone();
+            for &g in &order {
+                if prunes(full[g].bound(observed_tail), incumbent) {
+                    sequential[g].scored = None;
+                } else if let Some((score, tail)) = full[g].scored {
+                    if !score.is_nan() {
+                        incumbent = incumbent.max(score_key(score));
+                    }
+                    if tail > 0.0 {
+                        observed_tail = observed_tail.max(score_key(tail));
+                    }
+                }
+            }
+
+            let mut scheduled = full.clone();
+            for outcome in &mut scheduled {
+                if rng.below(2) == 0 {
+                    outcome.scored = None;
+                }
+            }
+            let scheduled_before: Vec<_> = scheduled.iter().map(|o| o.scored).collect();
+            let mut expanded = Vec::new();
+            replay_in_dispatch_order(&order, &mut scheduled, |g| {
+                expanded.push(g);
+                full[g]
+            });
+            // Bitwise: NaN scores compare unequal under `==`.
+            let bits = |outcomes: &[CandidateOutcome]| -> Vec<Option<(u64, u64)>> {
+                outcomes
+                    .iter()
+                    .map(|o| o.scored.map(|(s, t)| (s.to_bits(), t.to_bits())))
+                    .collect()
+            };
+            dropped += (0..n)
+                .filter(|&g| sequential[g].scored.is_none() && scheduled_before[g].is_some())
+                .count();
+            assert_eq!(bits(&scheduled), bits(&sequential), "order {order:?}");
+            replays += expanded.len();
+            // Only candidates the sequential run expands are re-expanded.
+            assert!(expanded.iter().all(|&g| sequential[g].scored.is_some()));
+
+            // A sequential fan-out replays to itself and expands nothing.
+            let mut again = sequential.clone();
+            replay_in_dispatch_order(&order, &mut again, |g| {
+                panic!("re-expanded candidate {g} of a sequential fan-out")
+            });
+            assert_eq!(bits(&again), bits(&sequential));
+        }
+        assert!(
+            replays > 0 && dropped > 0,
+            "the schedules never exercised both repairs: {replays} re-expanded, {dropped} dropped"
+        );
     }
 
     #[test]

@@ -261,10 +261,13 @@
 //!   beat that incumbent skips its `k² + … + k^LA` deep recursion — the
 //!   exponential part of the `|Γ|·k^LA` branch growth — which is what
 //!   makes `LA ≥ 3` affordable; a candidate that starts its recursion
-//!   finishes it. The bound is a calibration, not a proof. Pruning is
-//!   disabled for decisions taken before the first feasible observation
-//!   (the fallback incumbent can grow along a speculated path there), at
-//!   `LA = 1` there is no tail to bound, and the `bound_and_prune`,
+//!   finishes it. After the fan-out the engine replays every prune test in
+//!   dispatch order: it expands a candidate the schedule pruned too early
+//!   and drops one the order prunes, so decisions and prune counts are the
+//!   same at every thread count. The bound is a calibration, not a proof.
+//!   Pruning is disabled for decisions taken before the first feasible
+//!   observation (the fallback incumbent can grow along a speculated path
+//!   there), at `LA = 1` there is no tail to bound, and the `bound_and_prune`,
 //!   `engine_equivalence` and `pool_matrix` suites pin pruned runs
 //!   bit-identical to the exhaustive engine (`PathEngine::Batched`, the
 //!   same expansion with pruning switched off) across seeds, lookaheads,
@@ -326,7 +329,8 @@
 //! 5. **Justified atomic orderings** — every `Ordering::*` site carries an
 //!    adjacent `// ordering:` comment saying why that strength is correct
 //!    (e.g. the pruning incumbent's Relaxed fetch_max: the monotone u64
-//!    `score_key` is the whole message, staleness only weakens pruning).
+//!    `score_key` is the whole message, and a stale view changes only
+//!    what the dispatch-order replay re-expands or drops).
 //! 6. **No panics in containment paths** — the pool/scheduler/engine
 //!    spine avoids `unwrap`/`expect`; locks recover from poisoning
 //!    (`PoisonError::into_inner`) so one contained panic cannot cascade

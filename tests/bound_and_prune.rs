@@ -312,10 +312,11 @@ fn pruned_matches_exhaustive_on_the_wide_random_matrix() {
 
 #[test]
 fn thread_counts_do_not_change_pruned_decisions() {
-    // The shared-incumbent pruning must be schedule-independent in its
-    // *results* (which candidates get pruned may vary; the selected
-    // configuration must not). `LYNCEUS_TEST_THREADS` is how the CI thread
-    // matrix reaches this test; parallel_paths toggles the pool entirely.
+    // The shared-incumbent pruning must be schedule-independent: the pool
+    // replays its prune tests in dispatch order, so neither the selected
+    // configurations nor which candidates get pruned may depend on the
+    // thread count. `LYNCEUS_TEST_THREADS` is how the CI thread matrix
+    // reaches this test; parallel_paths toggles the pool entirely.
     let space = SpaceBuilder::new()
         .numeric("x", (0..8).map(f64::from))
         .numeric("y", (0..3).map(f64::from))
@@ -332,10 +333,16 @@ fn thread_counts_do_not_change_pruned_decisions() {
         ..OptimizerSettings::default()
     };
     settings.parallel_paths = false;
-    let sequential = LynceusOptimizer::new(settings.clone()).optimize(&oracle, 9);
+    let sequential_optimizer = LynceusOptimizer::new(settings.clone());
+    let sequential = sequential_optimizer.optimize(&oracle, 9);
     settings.parallel_paths = true;
-    let parallel = LynceusOptimizer::new(settings.clone()).optimize(&oracle, 9);
+    let parallel_optimizer = LynceusOptimizer::new(settings.clone());
+    let parallel = parallel_optimizer.optimize(&oracle, 9);
     assert_eq!(sequential, parallel);
+    assert_eq!(
+        sequential_optimizer.prune_stats(),
+        parallel_optimizer.prune_stats()
+    );
     let exhaustive = LynceusOptimizer::new(settings)
         .with_engine(PathEngine::Batched)
         .optimize(&oracle, 9);

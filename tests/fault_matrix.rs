@@ -335,8 +335,8 @@ fn a_scout_storm_with_a_planted_panic_recovers_every_report_bit_identically() {
     };
     let job_settings = |dataset: &LookupDataset| {
         let mut settings = config.settings_for(dataset, 1);
-        // Pooled BoundAndPrune decisions can depend on the thread schedule;
-        // sequential paths keep the solo reference exact.
+        // Sequential paths on every host (`settings_for` enables the pool
+        // only on one CPU), so the storm runs alike everywhere.
         settings.parallel_paths = false;
         settings
     };
