@@ -153,7 +153,10 @@ pub enum PathEngine {
     /// every prune test in dispatch order: it expands a candidate the
     /// schedule pruned too early and drops one the dispatch order prunes,
     /// so decisions and prune counts are the sequential ones at every
-    /// thread count. Guard rails where the premise is known to fail: until
+    /// thread count. Workers take candidates from one cursor over the
+    /// dispatch order, so a test misses only the candidates still in
+    /// flight, and a worker that starts late leaves the others expanding
+    /// the order's prefix exactly as the replay will. Guard rails where the premise is known to fail: until
     /// a first tail is measured every candidate expands unconditionally;
     /// before the first feasible observation in `Σ` (replayed prior
     /// observations count) the fallback incumbent (`max cost + 3σ`) can

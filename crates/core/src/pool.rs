@@ -6,7 +6,9 @@
 //! lookahead). Fixed chunking — what the previous `crossbeam`-scoped
 //! implementation did — leaves workers idle behind the unluckiest chunk;
 //! here each worker owns a deque of task indices and steals from the back of
-//! a sibling's deque when its own runs dry.
+//! a sibling's deque when its own runs dry. Prioritized batches
+//! ([`run_order_with`]) instead share one cursor over their dispatch order,
+//! so tasks start in that order whichever worker is free.
 //!
 //! Results are written back *by task index*, so the output order (and
 //! therefore any subsequent reduction) is independent of the stealing
@@ -15,6 +17,7 @@
 //! fixed seed regardless of thread count.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
@@ -264,7 +267,8 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w * chunk..((w + 1) * chunk).min(n)).collect()))
         .collect();
-    fork_join(n, queues, init, task)
+    let next = |me: usize| pop_own(&queues[me]).or_else(|| steal(&queues, me));
+    fork_join(n, workers, next, init, task)
 }
 
 /// Like [`run_indexed_with`], but tasks are *dispatched* in the order given
@@ -276,10 +280,12 @@ where
 /// through an atomic cell, and expanding the highest-bound candidates first
 /// maximizes how much of the remaining batch the incumbent can prune. The
 /// order affects *scheduling only*: for tasks whose results do not depend on
-/// execution order the output is bit-identical to [`run_indexed_with`], and
-/// the multi-worker dispatch interleaves `order` round-robin across the
-/// worker deques so the globally best-ranked tasks start first no matter
-/// which worker picks them up.
+/// execution order the output is bit-identical to [`run_indexed_with`].
+/// Every worker takes the next task of `order` from one shared cursor, so
+/// tasks start strictly in dispatch order on any number of workers, and a
+/// worker that starts late (or is descheduled) leaves the others running
+/// the order's prefix as one worker would, rather than dealing them a
+/// scrambled share of it.
 ///
 /// # Panics
 ///
@@ -313,37 +319,32 @@ where
             .collect();
     }
 
-    // Deal the ranked order round-robin: worker `w` owns ranks `w`,
-    // `w + workers`, `w + 2·workers`, … so the front of every deque holds
-    // the best-ranked task not yet started.
-    let mut hands: Vec<VecDeque<usize>> = (0..workers)
-        .map(|w| VecDeque::with_capacity(n.div_ceil(workers) + usize::from(w == 0)))
-        .collect();
-    for (rank, &index) in order.iter().enumerate() {
-        hands[rank % workers].push_back(index);
-    }
-    let queues: Vec<Mutex<VecDeque<usize>>> = hands.into_iter().map(Mutex::new).collect();
-    fork_join(n, queues, init, task)
+    // One cursor over the ranked order: the next task any worker takes is
+    // the best-ranked one not yet started.
+    let cursor = AtomicUsize::new(0);
+    // ordering: Relaxed — the counter only hands out distinct ranks; the
+    // tasks' own data reaches the caller through the result channel.
+    let next = |_: usize| order.get(cursor.fetch_add(1, Ordering::Relaxed)).copied();
+    fork_join(n, workers, next, init, task)
 }
 
-/// The shared fork-join core: runs every queued task index on one worker per
-/// queue (with stealing) and collects the results in index order. The
-/// calling thread participates as worker 0 — only `queues.len() - 1` threads
-/// are spawned — so a batch granted no extra pool slots degrades gracefully
-/// to inline execution instead of blocking for a worker.
-fn fork_join<S, R, I, F>(n: usize, queues: Vec<Mutex<VecDeque<usize>>>, init: I, task: F) -> Vec<R>
+/// The shared fork-join core: runs tasks on `workers` workers, each taking
+/// task indices from `next(worker)` until it returns `None`, and collects
+/// the results in index order. The calling thread participates as worker 0
+/// — only `workers - 1` threads are spawned — so a batch granted no extra
+/// pool slots degrades gracefully to inline execution instead of blocking
+/// for a worker.
+fn fork_join<S, R, N, I, F>(n: usize, workers: usize, next: N, init: I, task: F) -> Vec<R>
 where
     R: Send,
+    N: Fn(usize) -> Option<usize> + Sync,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let workers = queues.len();
     let (sender, receiver) = mpsc::channel::<(usize, R)>();
     let worker_loop = |me: usize, sender: &mpsc::Sender<(usize, R)>| {
         let mut state = init();
-        loop {
-            let index = pop_own(&queues[me]).or_else(|| steal(&queues, me));
-            let Some(index) = index else { break };
+        while let Some(index) = next(me) {
             // Send failures are impossible: the receiver outlives every
             // sender. Ignore the result to keep the worker loop infallible.
             let _ = sender.send((index, task(&mut state, index)));
@@ -529,6 +530,56 @@ mod tests {
             |(), i| executed.lock().unwrap().push(i),
         );
         assert_eq!(*executed.lock().unwrap(), order);
+    }
+
+    #[test]
+    fn ordered_dispatch_hands_every_worker_increasing_ranks() {
+        // Workers take tasks from one cursor over the order, so each
+        // worker's ranks increase on any schedule. The worker holding rank 0
+        // stalls until the others have run half the order (or a bounded
+        // number of yields, so one worker alone never waits on itself);
+        // dealt deques would hand them a thief's share from the back.
+        let n = 64;
+        let order: Vec<usize> = (0..n).map(|rank| (rank * 37) % n).collect();
+        let mut rank_of = vec![0; n];
+        for (rank, &index) in order.iter().enumerate() {
+            rank_of[index] = rank;
+        }
+        let workers = AtomicUsize::new(0);
+        let log = Mutex::new(Vec::new());
+        let _ = run_order_with(
+            n,
+            4,
+            &order,
+            // ordering: Relaxed — the counter only names the workers.
+            || workers.fetch_add(1, Ordering::Relaxed),
+            |&mut worker, index| {
+                if rank_of[index] == 0 {
+                    for _ in 0..100_000 {
+                        if log.lock().unwrap().len() >= n / 2 {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+                log.lock().unwrap().push((worker, rank_of[index]));
+            },
+        );
+        let log = log.into_inner().unwrap();
+        let mut seen: Vec<usize> = log.iter().map(|&(_, rank)| rank).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        for worker in 0..workers.into_inner() {
+            let ranks: Vec<usize> = log
+                .iter()
+                .filter(|&&(w, _)| w == worker)
+                .map(|&(_, rank)| rank)
+                .collect();
+            assert!(
+                ranks.windows(2).all(|pair| pair[0] < pair[1]),
+                "worker {worker} ran ranks out of order: {ranks:?}"
+            );
+        }
     }
 
     #[test]
