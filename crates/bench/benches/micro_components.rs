@@ -16,7 +16,7 @@ use lynceus_core::{LynceusOptimizer, Optimizer, PathEngine, Pool};
 use lynceus_datasets::scout;
 use lynceus_experiments::ExperimentConfig;
 use lynceus_learners::{
-    BaggingEnsemble, FeatureMatrix, Prediction, RouteWorkspace, SpeculativeFit, Surrogate,
+    BaggingEnsemble, FeatureMatrix, Prediction, SpeculativeFit, SpeculativePath, Surrogate,
     TrainingSet,
 };
 use lynceus_math::quadrature::{gauss_hermite, GaussHermiteRule};
@@ -195,19 +195,15 @@ fn main() {
         },
     ));
     let mut root = SpeculativeFit::default();
-    root.set_root(&fitted, &matrix, &rows, Some(data.len() + 1));
+    root.set_root(&fitted, &matrix, &rows);
+    let mut path = SpeculativePath::default();
+    path.set_root(&fitted, data.dims(), data.len() + 1);
     let mut child = SpeculativeFit::default();
-    let mut workspace = RouteWorkspace::default();
     let mut speculative_out = Vec::new();
     measurements.push(bench("speculative_extend_256x5", 200, || {
-        root.extend_into(
-            black_box(&matrix),
-            black_box(&rows),
-            black_box(&sample),
-            150.0,
-            &mut child,
-            &mut workspace,
-        );
+        path.push(black_box(&sample), 150.0);
+        root.extend_into(&mut path, black_box(&matrix), black_box(&rows), &mut child);
+        path.pop();
         child.predict_into(&mut speculative_out);
         black_box(&speculative_out);
     }));
@@ -304,7 +300,7 @@ fn main() {
     );
     if cpus == 1 {
         println!(
-            "note: single-CPU machine — the work-stealing pool cannot \
+            "note: single-CPU machine — the worker pool cannot \
              contribute; the ratio above is the purely algorithmic speedup"
         );
     }

@@ -45,16 +45,19 @@
 //!
 //!   Every (real or speculated) state is scored at the decision's untested
 //!   rows only, so a speculated surrogate is a [`SpeculativeFit`]: each
-//!   member tree's values at those rows, never a tree. The root pass
-//!   descends the real model's members once per decision; a speculated
-//!   observation extends its parent's fit with
+//!   member tree's values at those rows, never a tree, a training set or a
+//!   resample. The root pass descends the real model's members once per
+//!   decision; a speculated observation extends its parent's fit with
 //!   [`SpeculativeFit::extend_into`], which copies the members whose
 //!   bootstrap resample does not draw it and rebuilds the rest with a fused
-//!   fit-and-route builder that stores no node. Speculated states are a
-//!   [`SpeculativeCursor`] push/pop overlay instead of full-state clones;
-//!   the per-decision Gauss–Hermite rule is precomputed once; and candidate
-//!   expansions fan out over the worker pool ([`crate::pool`]) with a
-//!   Γ-ordered reduction.
+//!   fit-and-route builder that stores no node. A rebuild reads the rows
+//!   and resample multisets from the worker's one [`SpeculativePath`]: the
+//!   real training set, the path's speculated rows pushed and popped with
+//!   the cursor, and each member's resample of the real rows, derived once
+//!   per lease. Speculated states are a [`SpeculativeCursor`] push/pop
+//!   overlay instead of full-state clones; the per-decision Gauss–Hermite
+//!   rule is precomputed once; and candidate expansions fan out over the
+//!   worker pool ([`crate::pool`]) with a Γ-ordered reduction.
 //! * [`PathEngine::Batched`] — the same expansion, every optimization
 //!   above included, with pruning switched off: every candidate's full
 //!   `k + k² + … + k^LA` subtree is expanded. Retained as the exhaustive
@@ -80,7 +83,7 @@ use crate::state::{SearchState, SpeculativeCursor};
 use crate::switching::{FreeSwitching, SwitchingCost};
 use crate::transfer::{JobKnowledge, PriorObservation};
 use lynceus_learners::{
-    BaggingEnsemble, FeatureMatrix, Prediction, RouteWorkspace, SpeculativeFit, Surrogate,
+    BaggingEnsemble, FeatureMatrix, Prediction, SpeculativeFit, SpeculativePath, Surrogate,
 };
 use lynceus_math::quadrature::{discretize_normal_clamped, GaussHermiteRule, WeightedValue};
 use lynceus_math::rng::SeededRng;
@@ -156,13 +159,15 @@ pub enum PathEngine {
     /// thread count. Workers take candidates from one cursor over the
     /// dispatch order, so a test misses only the candidates still in
     /// flight, and a worker that starts late leaves the others expanding
-    /// the order's prefix exactly as the replay will. Guard rails where the premise is known to fail: until
-    /// a first tail is measured every candidate expands unconditionally;
-    /// before the first feasible observation in `Σ` (replayed prior
-    /// observations count) the fallback incumbent (`max cost + 3σ`) can
-    /// grow along a path, so those decisions disable pruning and expand
-    /// exhaustively; and at `LA = 1` there is no deep tail, so every
-    /// candidate is scored exactly. The seeded cross-engine suites
+    /// the order's prefix exactly as the replay will.
+    ///
+    /// Guard rails where the premise is known to fail: until a first tail
+    /// is measured every candidate expands unconditionally; before the
+    /// first feasible observation in `Σ` (replayed prior observations
+    /// count) the fallback incumbent (`max cost + 3σ`) can grow along a
+    /// path, so those decisions disable pruning and expand exhaustively;
+    /// and at `LA = 1` there is no deep tail, so every candidate is scored
+    /// exactly. The seeded cross-engine suites
     /// (`tests/bound_and_prune.rs`, `tests/engine_equivalence.rs`,
     /// `tests/pool_matrix.rs`) pin bit-identical reports against both
     /// retained engines at `LA ∈ {1, 2, 3}` across seeds, switching models
@@ -748,12 +753,16 @@ impl LynceusOptimizer {
         let base_len = ctx.base_ids.len();
         let gamma = &*gamma;
         let root_fit = &root.fit;
-        let configs = driver.feature_matrix().rows();
         let init = || {
             let mut lease = WorkerLease::take(workers);
-            lease
-                .get()
-                .prepare(base_len, root_fit, configs, ctx.rule.len(), lookahead);
+            lease.get().prepare(
+                base_len,
+                model,
+                root_fit,
+                driver.feature_matrix(),
+                ctx.rule.len(),
+                lookahead,
+            );
             lease
         };
         let expand = |lease: &mut WorkerLease<'_>, g: usize| -> CandidateOutcome {
@@ -1031,12 +1040,8 @@ fn prepare_root<'a>(
         constraint_models.satisfaction_rows(block, block_rows, satisfaction, satisfaction_scratch);
     }
     // The real model's member values at the block, computed once for every
-    // worker to extend. At `LA = 0` nothing is speculated, so the fit
-    // skips the training-set and resample copies an extension needs;
-    // otherwise it reserves for the largest training set of the run (every
-    // configuration profiled), so the arena stops growing.
-    let extendable = (optimizer.settings.lookahead > 0).then_some(matrix.rows());
-    root.fit.set_root(model, block, block_rows, extendable);
+    // worker to extend.
+    root.fit.set_root(model, block, block_rows);
     root_mask.clear();
     root_mask.resize(base_ids.len(), false);
 
@@ -1085,7 +1090,7 @@ fn prepare_root<'a>(
 
 /// Per-worker state of branch evaluation: one [`Scratch`] per recursion
 /// level, the speculated-membership mask, the candidate-level Gauss–Hermite
-/// buffer, the phase-A branch fits and the rebuild buffers.
+/// buffer, the phase-A branch fits and the speculation path.
 #[derive(Default)]
 struct BranchScratch {
     levels: Vec<Scratch>,
@@ -1105,26 +1110,31 @@ struct BranchScratch {
     /// B resumes the deep recursion directly instead of re-evaluating the
     /// first level (or re-querying the switching model).
     branch_next: Vec<Option<(Member, f64, f64)>>,
-    /// Buffers of the member rebuilds in [`SpeculativeFit::extend_into`].
-    workspace: RouteWorkspace,
+    /// The real training set and the worker's speculated rows on top of
+    /// it, pushed and popped with the cursor: what every
+    /// [`SpeculativeFit::extend_into`] of the worker rebuilds from.
+    path: SpeculativePath,
 }
 
 impl BranchScratch {
     /// Readies the scratch for a decision over `base_len` untested
-    /// configurations whose expansions extend `root_fit`. Every buffer is
-    /// sized for the run's largest expansion — all `configs` configurations
-    /// in the block, every one profiled, `nodes` Gauss–Hermite branches per
-    /// level, `lookahead` levels — so a worker scratch's capacity is fixed
-    /// from its first lease on, whichever candidates the schedule hands it
-    /// (the reservations are no-ops from then on).
+    /// configurations whose expansions extend `root_fit`, the fit of
+    /// `model`: the path restarts from `model`'s training set. Every buffer
+    /// is sized for the run's largest expansion — every configuration of
+    /// `grid` in the block, every one profiled, `nodes` Gauss–Hermite
+    /// branches per level, `lookahead` levels — so a worker scratch's
+    /// capacity is fixed from its first lease on, whichever candidates the
+    /// schedule hands it (the reservations are no-ops from then on).
     fn prepare(
         &mut self,
         base_len: usize,
+        model: &BaggingEnsemble,
         root_fit: &SpeculativeFit,
-        configs: usize,
+        grid: &FeatureMatrix,
         nodes: usize,
         lookahead: usize,
     ) {
+        let configs = grid.rows();
         self.mask.clear();
         self.mask.reserve(configs);
         self.mask.resize(base_len, false);
@@ -1140,11 +1150,12 @@ impl BranchScratch {
         if self.levels.len() < lookahead + 1 {
             self.levels.resize_with(lookahead + 1, Scratch::default);
         }
+        self.path.set_root(model, grid.dims(), configs);
         for fit in &mut self.branch_fits {
-            root_fit.reserve_extension(configs, fit, &mut self.workspace);
+            root_fit.reserve_extension(configs, fit);
         }
         for level in &mut self.levels {
-            root_fit.reserve_extension(configs, &mut level.fit, &mut self.workspace);
+            root_fit.reserve_extension(configs, &mut level.fit);
             level.predictions.clear();
             level.predictions.reserve(configs);
             level.pairs.clear();
@@ -1166,7 +1177,7 @@ impl BranchScratch {
                 .map(SpeculativeFit::capacity)
                 .sum::<usize>()
             + self.branch_next.capacity()
-            + self.workspace.capacity()
+            + self.path.capacity()
             + self.levels.capacity()
             + self.levels.iter().map(Scratch::capacity).sum::<usize>()
     }
@@ -1266,19 +1277,21 @@ impl DecisionScratch {
     }
 
     /// The capacity of a worker scratch freshly prepared for extending this
-    /// arena's root fit (see [`BranchScratch::prepare`]).
+    /// arena's root fit, the fit of `model` (see [`BranchScratch::prepare`]).
     #[cfg(test)]
     pub(crate) fn prepared_worker_capacity(
         &self,
-        configs: usize,
+        model: &BaggingEnsemble,
+        grid: &FeatureMatrix,
         nodes: usize,
         lookahead: usize,
     ) -> usize {
         let mut scratch = BranchScratch::default();
         scratch.prepare(
             self.base_ids.len(),
+            model,
             &self.root.fit,
-            configs,
+            grid,
             nodes,
             lookahead,
         );
@@ -1491,7 +1504,7 @@ impl BatchedCtx<'_> {
             root_nodes,
             branch_fits,
             branch_next,
-            workspace,
+            path,
         } = scratch;
         self.rule.discretize_clamped_into(
             candidate.prediction.mean,
@@ -1517,6 +1530,7 @@ impl BatchedCtx<'_> {
             for (&node, branch_fit) in root_nodes.iter().zip(branch_fits.iter_mut()) {
                 let mut cursor = SpeculativeCursor::new(&self.driver.state);
                 cursor.push(candidate.id, node.value, node.value <= constraint_cap);
+                path.push(x_features, node.value);
                 mask[x_position] = true;
                 // Mirror the reference engine (and the real driver): a
                 // speculated run charges its switching cost after its run
@@ -1526,14 +1540,7 @@ impl BatchedCtx<'_> {
                 if charge > 0.0 {
                     cursor.charge_extra(charge);
                 }
-                root_fit.extend_into(
-                    self.block,
-                    self.block_rows,
-                    x_features,
-                    node.value,
-                    &mut first.fit,
-                    workspace,
-                );
+                root_fit.extend_into(path, self.block, self.block_rows, &mut first.fit);
                 let y_star = self.eval_state(&cursor, first, mask);
                 let selected = self.select_next(
                     first,
@@ -1556,6 +1563,7 @@ impl BatchedCtx<'_> {
                     (next, r1, next_switch)
                 });
                 mask[x_position] = false;
+                path.pop();
                 // Keep the branch's fit for phase B; `first` takes the
                 // cached buffer back for the next branch to overwrite.
                 std::mem::swap(&mut first.fit, branch_fit);
@@ -1615,6 +1623,7 @@ impl BatchedCtx<'_> {
                 let node = root_nodes[k];
                 let mut cursor = SpeculativeCursor::new(&self.driver.state);
                 cursor.push(candidate.id, node.value, node.value <= constraint_cap);
+                path.push(x_features, node.value);
                 mask[x_position] = true;
                 let charge = speculation_charge(switch);
                 if charge > 0.0 {
@@ -1630,9 +1639,10 @@ impl BatchedCtx<'_> {
                     depth_left,
                     rest,
                     mask,
-                    workspace,
+                    path,
                 );
                 mask[x_position] = false;
+                path.pop();
                 cost += node.weight * c;
                 reward += self.settings.discount * node.weight * r;
             }
@@ -1665,7 +1675,8 @@ impl BatchedCtx<'_> {
     /// cursor's current state, whose fit is `fit` and whose evaluation gave
     /// `x`'s prediction and EIc. `nodes` receives the discretization of
     /// `x`'s cost; `deeper` holds one [`Scratch`] per remaining level, each
-    /// speculated child's fit and evaluation going into the first.
+    /// speculated child's fit and evaluation going into the first; `path`
+    /// holds the cursor's speculated rows.
     ///
     /// `switch` is the switching charge `χ → x` at the cursor's current
     /// state, computed by the caller at the selection site (phase A needs
@@ -1683,7 +1694,7 @@ impl BatchedCtx<'_> {
         depth_left: usize,
         deeper: &mut [Scratch],
         mask: &mut [bool],
-        workspace: &mut RouteWorkspace,
+        path: &mut SpeculativePath,
     ) -> (f64, f64) {
         let mut reward = eic_x;
         let mut cost = (x.prediction.mean + switch).max(MIN_STEP_COST);
@@ -1705,6 +1716,7 @@ impl BatchedCtx<'_> {
             .expect("scratch levels cover the lookahead depth");
         for &node in nodes.iter() {
             cursor.push(x.id, node.value, node.value <= constraint_cap);
+            path.push(x_features, node.value);
             mask[x.index] = true;
             // The speculated β pays the switch `χ → x` too (same charge
             // order as `Driver::try_profile`), saturated against non-finite
@@ -1713,14 +1725,7 @@ impl BatchedCtx<'_> {
             if charge > 0.0 {
                 cursor.charge_extra(charge);
             }
-            fit.extend_into(
-                self.block,
-                self.block_rows,
-                x_features,
-                node.value,
-                &mut child.fit,
-                workspace,
-            );
+            fit.extend_into(path, self.block, self.block_rows, &mut child.fit);
             let y_star = self.eval_state(cursor, child, mask);
             if let Some((next, next_eic)) = self.select_next(
                 child,
@@ -1740,13 +1745,14 @@ impl BatchedCtx<'_> {
                     depth_left - 1,
                     grandchildren,
                     mask,
-                    workspace,
+                    path,
                 );
                 cost += node.weight * c;
                 reward += self.settings.discount * node.weight * r;
             }
             // Budget exhausted along this branch: the path ends here.
             cursor.pop();
+            path.pop();
             mask[x.index] = false;
         }
         (reward, cost)
@@ -2646,7 +2652,6 @@ mod tests {
             };
             let optimizer = LynceusOptimizer::new(settings.clone());
             let mut session = LynceusSession::new(&optimizer, &oracle, 3);
-            let configs = session.driver.feature_matrix().rows();
             let mut shared = Vec::new();
             let mut leased = 0;
             while let SessionStep::Profiled(_) = session.step().expect("healthy oracle") {
@@ -2664,7 +2669,8 @@ mod tests {
                 // reserved for the run, whenever it joined and whatever the
                 // schedule handed it since.
                 let prepared = arena.prepared_worker_capacity(
-                    configs,
+                    &session.model,
+                    session.driver.feature_matrix(),
                     settings.gauss_hermite_nodes,
                     settings.lookahead,
                 );

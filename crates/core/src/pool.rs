@@ -1,22 +1,21 @@
-//! A small work-stealing fork-join pool with deterministic reduction order.
+//! A small fork-join pool with deterministic reduction order.
 //!
-//! The speculation engine fans out over `candidates × Gauss–Hermite nodes`
-//! branch evaluations whose costs vary wildly (a branch dies immediately when
-//! its speculated budget is exhausted, or recurses through the whole
-//! lookahead). Fixed chunking — what the previous `crossbeam`-scoped
-//! implementation did — leaves workers idle behind the unluckiest chunk;
-//! here each worker owns a deque of task indices and steals from the back of
-//! a sibling's deque when its own runs dry. Prioritized batches
-//! ([`run_order_with`]) instead share one cursor over their dispatch order,
-//! so tasks start in that order whichever worker is free.
+//! The speculation engine fans out over root candidates whose expansion
+//! costs vary wildly (a branch dies immediately when its speculated budget
+//! is exhausted, or recurses through the whole lookahead), and the
+//! experiment runner over whole optimizations. Fixed chunking would leave
+//! workers idle behind the unluckiest chunk; instead every worker takes the
+//! next task from one shared cursor whenever it is free, over the identity
+//! order ([`run_indexed_with`]) or a batch's own dispatch order
+//! ([`run_order_with`]), so tasks start in that order on any number of
+//! workers.
 //!
 //! Results are written back *by task index*, so the output order (and
-//! therefore any subsequent reduction) is independent of the stealing
-//! schedule: for a pure task function the result is bit-identical to the
-//! sequential loop, which is what keeps optimizer runs reproducible for a
-//! fixed seed regardless of thread count.
+//! therefore any subsequent reduction) is independent of the schedule: for
+//! a pure task function the result is bit-identical to the sequential loop,
+//! which is what keeps optimizer runs reproducible for a fixed seed
+//! regardless of thread count.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -219,9 +218,9 @@ impl Pool {
     }
 }
 
-/// Applies `task` to every index in `0..n` on a work-stealing pool of at most
-/// `threads` workers (capped at the available parallelism and at `n`), and
-/// returns the results in index order.
+/// Applies `task` to every index in `0..n` on at most `threads` workers
+/// (capped at the available parallelism and at `n`), and returns the
+/// results in index order.
 ///
 /// `threads <= 1` (or a trivial `n`) runs inline on the calling thread. The
 /// reduction order seen by the caller is always `0, 1, …, n-1`.
@@ -244,7 +243,7 @@ where
 /// them per task.
 ///
 /// The state must not influence results (it is a scratch space, not an
-/// accumulator), otherwise the output would depend on the stealing schedule.
+/// accumulator), otherwise the output would depend on the schedule.
 ///
 /// # Panics
 ///
@@ -255,20 +254,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let workers = threads.min(default_threads()).min(n);
-    if workers <= 1 || n <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| task(&mut state, i)).collect();
-    }
-
-    // Each worker starts with a contiguous slice of the index space and
-    // steals from the back of a sibling's deque once its own is empty.
-    let chunk = n.div_ceil(workers);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w * chunk..((w + 1) * chunk).min(n)).collect()))
-        .collect();
-    let next = |me: usize| pop_own(&queues[me]).or_else(|| steal(&queues, me));
-    fork_join(n, workers, next, init, task)
+    fork_join(n, threads, |rank| (rank < n).then_some(rank), init, task)
 }
 
 /// Like [`run_indexed_with`], but tasks are *dispatched* in the order given
@@ -305,46 +291,34 @@ where
     F: Fn(&mut S, usize) -> R + Sync,
 {
     assert_eq!(order.len(), n, "dispatch order must cover every task index");
-    let workers = threads.min(default_threads()).min(n);
-    if workers <= 1 || n <= 1 {
-        let mut state = init();
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for &index in order {
-            results[index] = Some(task(&mut state, index));
-        }
-        return results
-            .into_iter()
-            // lint: allow(no-panic) -- slot invariant: the loop above fills every index; a None is a dispatch bug worth a loud stop
-            .map(|r| r.expect("every task index produces exactly one result"))
-            .collect();
-    }
-
-    // One cursor over the ranked order: the next task any worker takes is
-    // the best-ranked one not yet started.
-    let cursor = AtomicUsize::new(0);
-    // ordering: Relaxed — the counter only hands out distinct ranks; the
-    // tasks' own data reaches the caller through the result channel.
-    let next = |_: usize| order.get(cursor.fetch_add(1, Ordering::Relaxed)).copied();
-    fork_join(n, workers, next, init, task)
+    fork_join(n, threads, |rank| order.get(rank).copied(), init, task)
 }
 
-/// The shared fork-join core: runs tasks on `workers` workers, each taking
-/// task indices from `next(worker)` until it returns `None`, and collects
-/// the results in index order. The calling thread participates as worker 0
-/// — only `workers - 1` threads are spawned — so a batch granted no extra
-/// pool slots degrades gracefully to inline execution instead of blocking
+/// The shared fork-join core: runs the tasks `dispatch(0), dispatch(1), …`
+/// (until `dispatch` returns `None`) on at most `threads` workers (capped
+/// at the available parallelism and at `n`), each taking the next rank from
+/// one shared cursor, and collects the results in index order. The calling
+/// thread participates as worker 0 — only the extra workers are spawned —
+/// so a batch granted no extra pool slots runs inline instead of blocking
 /// for a worker.
-fn fork_join<S, R, N, I, F>(n: usize, workers: usize, next: N, init: I, task: F) -> Vec<R>
+fn fork_join<S, R, D, I, F>(n: usize, threads: usize, dispatch: D, init: I, task: F) -> Vec<R>
 where
     R: Send,
-    N: Fn(usize) -> Option<usize> + Sync,
+    D: Fn(usize) -> Option<usize> + Sync,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
+    let workers = threads.min(default_threads()).min(n).max(1);
+    // One cursor over the ranks: the next task any worker takes is the
+    // first one not yet started.
+    let cursor = AtomicUsize::new(0);
+    // ordering: Relaxed — the counter only hands out distinct ranks; the
+    // tasks' own data reaches the caller through the result channel.
+    let next = || dispatch(cursor.fetch_add(1, Ordering::Relaxed));
     let (sender, receiver) = mpsc::channel::<(usize, R)>();
-    let worker_loop = |me: usize, sender: &mpsc::Sender<(usize, R)>| {
+    let worker_loop = |sender: &mpsc::Sender<(usize, R)>| {
         let mut state = init();
-        while let Some(index) = next(me) {
+        while let Some(index) = next() {
             // Send failures are impossible: the receiver outlives every
             // sender. Ignore the result to keep the worker loop infallible.
             let _ = sender.send((index, task(&mut state, index)));
@@ -352,12 +326,12 @@ where
     };
 
     std::thread::scope(|scope| {
-        for me in 1..workers {
+        for _ in 1..workers {
             let worker_loop = &worker_loop;
             let sender = sender.clone();
-            scope.spawn(move || worker_loop(me, &sender));
+            scope.spawn(move || worker_loop(&sender));
         }
-        worker_loop(0, &sender);
+        worker_loop(&sender);
         drop(sender);
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -372,8 +346,8 @@ where
     })
 }
 
-/// Applies `task` to every item of `items` with work stealing; results come
-/// back in item order. Convenience wrapper over [`run_indexed`].
+/// Applies `task` to every item of `items` on the pool; results come back
+/// in item order. Convenience wrapper over [`run_indexed`].
 pub fn map_slice<T, R, F>(items: &[T], threads: usize, task: F) -> Vec<R>
 where
     T: Sync,
@@ -381,20 +355,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     run_indexed(items.len(), threads, |i| task(&items[i]))
-}
-
-/// Pops the next task of the worker's own deque (front, cache-friendly).
-fn pop_own(queue: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    crate::poison::lock(queue).pop_front()
-}
-
-/// Steals one task from the back of the first non-empty sibling deque,
-/// scanning round-robin from the thief's position.
-fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
-    let n = queues.len();
-    (1..n)
-        .map(|offset| (thief + offset) % n)
-        .find_map(|victim| crate::poison::lock(&queues[victim]).pop_back())
 }
 
 #[cfg(test)]
@@ -411,7 +371,7 @@ mod tests {
     #[test]
     fn matches_the_sequential_path_for_uneven_workloads() {
         let work = |i: usize| -> u64 {
-            // Wildly uneven task costs to force stealing.
+            // Wildly uneven task costs, so workers finish out of order.
             let spins = if i.is_multiple_of(7) { 20_000 } else { 10 };
             (0..spins).fold(i as u64, |acc, j| acc.wrapping_mul(31).wrapping_add(j))
         };

@@ -150,7 +150,7 @@ pub fn run_many(
         .map(|i| config.base_seed + i)
         .collect();
     // Runs are independent and identically seeded whether they execute
-    // inline or on the pool; the work-stealing schedule cannot change the
+    // inline or on the pool; which worker takes which run cannot change the
     // per-seed results, and the pool returns them in seed order.
     lynceus_core::pool::map_slice(&seeds, config.threads, |&seed| {
         optimizer.optimize(dataset, seed)

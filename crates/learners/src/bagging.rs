@@ -25,11 +25,15 @@
 //!
 //! [`SpeculativeFit`] applies the same extension to an ensemble that exists
 //! only as its members' values at a fixed row block, which is all the
-//! speculation engine ever reads of a speculated surrogate.
+//! speculation engine ever reads of a speculated surrogate. Because a count
+//! depends on nothing but its inputs, member `t`'s multiset at speculation
+//! depth `d` is the root's followed by the draws of samples `n₀ … n₀ + d − 1`,
+//! the same for every speculated state at that depth: one
+//! [`SpeculativePath`] per worker holds the rows and root multisets every
+//! extension along its current path rebuilds from.
 
 use crate::model::{reserve_total, FeatureMatrix, Prediction, Surrogate, TrainingSet};
-use crate::tree::{RegressionTree, RouteWorkspace};
-use std::sync::Arc;
+use crate::tree::{RegressionTree, RouteBuffers};
 
 /// Poisson(1) resample count of `sample` in tree `tree` of an ensemble
 /// seeded with `seed`.
@@ -83,14 +87,22 @@ impl Members {
         resample_count(self.seed, index as u64, sample as u64)
     }
 
-    /// The Poisson resample multiset of member `index` over samples
-    /// `range` (ascending).
-    fn resample(&self, index: usize, range: std::ops::Range<usize>) -> Vec<usize> {
-        let mut out = Vec::new();
+    /// Appends to `out` the Poisson resample multiset of member `index`
+    /// over samples `range` (ascending).
+    fn resample(&self, index: usize, range: std::ops::Range<usize>, out: &mut Vec<usize>) {
         for i in range {
             out.extend(std::iter::repeat_n(i, self.draws(index, i)));
         }
-        out
+    }
+
+    /// Member `index` fitted on its resample multiset of `data`, built in
+    /// the scratch buffer `resample`.
+    fn fit(&self, data: &TrainingSet, index: usize, resample: &mut Vec<usize>) -> RegressionTree {
+        resample.clear();
+        self.resample(index, 0..data.len(), resample);
+        let mut tree = self.tree(data.dims(), index);
+        tree.fit_indexed(data, resample);
+        tree
     }
 }
 
@@ -114,14 +126,7 @@ impl Members {
 #[derive(Debug, Clone)]
 pub struct BaggingEnsemble {
     members: Members,
-    /// Member trees behind `Arc`, so an incremental refit shares the
-    /// members whose resample is unchanged instead of deep-copying them.
-    trees: Vec<Arc<RegressionTree>>,
-    /// Each member's bootstrap resample (index multiset into `data`, in
-    /// ascending order), aligned with `trees`. Stored so an incremental
-    /// refit extends the multiset with the new samples' draws instead of
-    /// re-hashing a Poisson count for every existing observation.
-    resamples: Vec<Arc<Vec<usize>>>,
+    trees: Vec<RegressionTree>,
     /// The training set the ensemble was fitted on; retained so
     /// [`BaggingEnsemble::refit_with`] can extend it incrementally.
     data: Option<TrainingSet>,
@@ -166,7 +171,6 @@ impl BaggingEnsemble {
         Self {
             members,
             trees: Vec::new(),
-            resamples: Vec::new(),
             data: None,
             fitted: false,
         }
@@ -209,13 +213,6 @@ impl BaggingEnsemble {
             .collect()
     }
 
-    /// Builds the member tree `index` on a resample multiset of `data`.
-    fn make_tree(&self, data: &TrainingSet, index: usize, resample: &[usize]) -> RegressionTree {
-        let mut tree = self.members.tree(data.dims(), index);
-        tree.fit_indexed(data, resample);
-        tree
-    }
-
     /// Returns a new ensemble fitted on this ensemble's training set extended
     /// with `extra` observations, reusing every member tree whose bootstrap
     /// resample does not draw any of the new samples.
@@ -251,43 +248,18 @@ impl BaggingEnsemble {
         }
 
         let mut next = Self::unfitted(self.members);
-        next.trees.reserve(self.members.count);
-        next.resamples.reserve(self.members.count);
-        for t in 0..self.members.count {
-            // Extend the stored multiset (ascending base indices) with the
-            // new draws (ascending, all >= base_len): the result is exactly
-            // the multiset a full Poisson scan would produce. The extension
-            // is built lazily so the common no-draw case allocates nothing.
-            let mut resample: Option<Vec<usize>> = None;
-            for i in base_len..extended.len() {
-                let count = self.members.draws(t, i);
-                if count > 0 {
-                    let draws = resample.get_or_insert_with(|| {
-                        if self.fitted {
-                            (*self.resamples[t]).clone()
-                        } else {
-                            Vec::new()
-                        }
-                    });
-                    draws.extend(std::iter::repeat_n(i, count));
-                }
-            }
-            match resample {
-                None if self.fitted => {
+        let mut resample = Vec::new();
+        next.trees = (0..self.members.count)
+            .map(|t| {
+                let skips = (base_len..extended.len()).all(|i| self.members.draws(t, i) == 0);
+                if skips && self.fitted {
                     // The resample multiset is unchanged: the existing tree
-                    // *is* the tree a from-scratch fit would build. Sharing
-                    // the `Arc` makes the reuse a reference-count bump.
-                    next.trees.push(Arc::clone(&self.trees[t]));
-                    next.resamples.push(Arc::clone(&self.resamples[t]));
+                    // *is* the tree a from-scratch fit would build.
+                    return self.trees[t].clone();
                 }
-                resample => {
-                    let resample = resample.unwrap_or_default();
-                    next.trees
-                        .push(Arc::new(next.make_tree(&extended, t, &resample)));
-                    next.resamples.push(Arc::new(resample));
-                }
-            }
-        }
+                self.members.fit(&extended, t, &mut resample)
+            })
+            .collect();
         next.data = Some(extended);
         next.fitted = true;
         next
@@ -339,14 +311,14 @@ impl BaggingEnsemble {
     /// performs the same arithmetic on it.
     pub fn fit_reference(&mut self, data: &TrainingSet) {
         self.trees.clear();
-        self.resamples.clear();
         self.data = None;
         self.fitted = false;
         if data.is_empty() {
             return;
         }
         for t in 0..self.members.count {
-            let indices = self.members.resample(t, 0..data.len());
+            let mut indices = Vec::new();
+            self.members.resample(t, 0..data.len(), &mut indices);
             // The original resample layout: one heap-allocated row per draw.
             let mut rows: Vec<Vec<f64>> = Vec::new();
             let mut targets: Vec<f64> = Vec::new();
@@ -357,8 +329,7 @@ impl BaggingEnsemble {
             }
             let mut tree = self.members.tree(data.dims(), t);
             tree.fit_reference(&rows, &targets);
-            self.trees.push(Arc::new(tree));
-            self.resamples.push(Arc::new(indices));
+            self.trees.push(tree);
         }
         self.data = Some(data.clone());
         self.fitted = true;
@@ -451,22 +422,17 @@ fn feature_subsample(dims: usize) -> usize {
 /// flat descent, small enough to live on the stack.
 const ROW_BLOCK: usize = 64;
 
-/// Room an extendable [`SpeculativeFit`] reserves per member resample and
-/// in its [`RouteWorkspace`], in multiples of its training-set bound: a
-/// Poisson(1) resample of `n` samples averages `n` draws, and more than
-/// `2n` is rare once `n` passes a handful.
-const RESAMPLE_HEADROOM: usize = 2;
-
 /// A bagging ensemble as its members' leaf values at a fixed row block: the
 /// speculation engine's tree-free surrogate.
 ///
 /// The engine scores every speculated state of a decision at the same rows
 /// (the decision's untested configurations) and never queries a speculated
 /// surrogate anywhere else. A `SpeculativeFit` keeps only what those scores
-/// and one more extension need: each member tree's values at the block
-/// rows, the training set, and each member's Poisson resample multiset.
+/// need: each member tree's values at the block rows, which members are
+/// fitted, and the prediction when none is.
 /// [`SpeculativeFit::extend_into`] adds one speculated observation the way
-/// [`BaggingEnsemble::refit_with`] does. A member whose resample does not
+/// [`BaggingEnsemble::refit_with`] does, reading the training set and the
+/// resamples from a [`SpeculativePath`]. A member whose resample does not
 /// draw the new sample keeps its values (a copy). A member that does is
 /// rebuilt by a fused fit-and-route builder, which routes the block rows
 /// through each split as it chooses the split and stores no node.
@@ -477,14 +443,13 @@ const RESAMPLE_HEADROOM: usize = 2;
 ///
 /// Every buffer is reused: a fit refilled through
 /// [`SpeculativeFit::set_root`] or [`SpeculativeFit::extend_into`] stops
-/// allocating once it has grown to the largest block and training set it
-/// serves.
+/// allocating once it has grown to the largest block it serves.
 ///
 /// # Example
 ///
 /// ```
 /// use lynceus_learners::{
-///     BaggingEnsemble, FeatureMatrix, RouteWorkspace, SpeculativeFit, Surrogate, TrainingSet,
+///     BaggingEnsemble, FeatureMatrix, SpeculativeFit, SpeculativePath, Surrogate, TrainingSet,
 /// };
 ///
 /// let mut data = TrainingSet::new(1);
@@ -496,13 +461,15 @@ const RESAMPLE_HEADROOM: usize = 2;
 /// let block = FeatureMatrix::from_rows(1, [[2.5], [9.0]]);
 /// let rows = [0, 1];
 ///
-/// // The model's values at the block, extendable up to 16 observations…
+/// // The model's values at the block…
 /// let mut root = SpeculativeFit::default();
-/// root.set_root(&model, &block, &rows, Some(16));
+/// root.set_root(&model, &block, &rows);
 /// // …extended by one speculated observation without building a tree.
+/// let mut path = SpeculativePath::default();
+/// path.set_root(&model, 1, 16);
+/// path.push(&[9.0], 81.0);
 /// let mut child = SpeculativeFit::default();
-/// let mut workspace = RouteWorkspace::default();
-/// root.extend_into(&block, &rows, &[9.0], 81.0, &mut child, &mut workspace);
+/// root.extend_into(&mut path, &block, &rows, &mut child);
 ///
 /// let (mut speculated, mut refit) = (Vec::new(), Vec::new());
 /// child.predict_into(&mut speculated);
@@ -511,7 +478,7 @@ const RESAMPLE_HEADROOM: usize = 2;
 ///     .predict_rows(&block, &rows, &mut refit);
 /// assert_eq!(speculated, refit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpeculativeFit {
     members: Members,
     /// Rows in the block the member values cover.
@@ -526,46 +493,12 @@ pub struct SpeculativeFit {
     /// fitted (0 for an unfitted ensemble, which has no member and no
     /// training set, exactly as it predicts).
     fallback: f64,
-    /// The training-set bound of an extendable fit; `None` when the fit
-    /// only predicts (`data` and `resamples` are then stale).
-    max_training_rows: Option<usize>,
-    data: TrainingSet,
-    /// Each member's resample multiset over `data`, ascending.
-    resamples: Vec<Vec<usize>>,
-}
-
-impl Default for SpeculativeFit {
-    /// An empty fit, predicting nothing until it is set or extended into.
-    fn default() -> Self {
-        Self {
-            members: Members::default(),
-            rows: 0,
-            values: Vec::new(),
-            fitted: Vec::new(),
-            fallback: 0.0,
-            max_training_rows: None,
-            data: TrainingSet::new(1),
-            resamples: Vec::new(),
-        }
-    }
 }
 
 impl SpeculativeFit {
     /// Refills the fit with `model`'s member values at `rows` of `features`:
     /// one block descent per fitted member.
-    ///
-    /// With `max_training_rows` set, the fit also copies the model's
-    /// training set and resamples, so it can be extended, and reserves room
-    /// for a training set of that many rows; its extensions inherit the
-    /// bound. With `None` it copies only what
-    /// [`SpeculativeFit::predict_into`] reads.
-    pub fn set_root(
-        &mut self,
-        model: &BaggingEnsemble,
-        features: &FeatureMatrix,
-        rows: &[usize],
-        max_training_rows: Option<usize>,
-    ) {
+    pub fn set_root(&mut self, model: &BaggingEnsemble, features: &FeatureMatrix, rows: &[usize]) {
         let members = model.members;
         let width = rows.len();
         self.members = members;
@@ -584,114 +517,58 @@ impl SpeculativeFit {
                 );
             }
         }
-        self.max_training_rows = max_training_rows;
-        let Some(bound) = max_training_rows else {
-            return;
-        };
-        match &model.data {
-            Some(data) => self.data.clone_from(data),
-            None => self.data = TrainingSet::new(features.dims()),
-        }
-        self.data.reserve(bound);
-        self.resamples.resize_with(members.count, Vec::new);
-        for (t, resample) in self.resamples.iter_mut().enumerate() {
-            match model.resamples.get(t) {
-                Some(drawn) => resample.clone_from(drawn),
-                None => resample.clear(),
-            }
-            reserve_total(resample, RESAMPLE_HEADROOM * bound);
-        }
     }
 
-    /// Writes into `child` this fit extended by the observation
-    /// `(sample, target)`: the fit of the ensemble
-    /// [`BaggingEnsemble::refit_with`] builds from the same observation, at
-    /// the same rows. `features` and `rows` must be the block this fit
-    /// covers; `workspace` holds the rebuilds' buffers. Once
+    /// Writes into `child` this fit extended by `path`'s last row: the fit
+    /// of the ensemble [`BaggingEnsemble::refit_with`] builds from that
+    /// observation, at the same rows. This fit must stand for the path's
+    /// other rows (the root, for a path one row deep), and `features` and
+    /// `rows` must be the block it covers. Once
     /// [`SpeculativeFit::reserve_extension`] has sized `child` and
-    /// `workspace`, the call allocates nothing.
+    /// [`SpeculativePath::set_root`] the path, the call allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the fit was set without a training-set bound, if `rows` is
-    /// not the size of the fit's block, or if `sample` has the wrong length
-    /// or a non-finite value.
+    /// Panics if the path holds no speculated row or if `rows` is not the
+    /// size of the fit's block.
     pub fn extend_into(
         &self,
+        path: &mut SpeculativePath,
         features: &FeatureMatrix,
         rows: &[usize],
-        sample: &[f64],
-        target: f64,
         child: &mut SpeculativeFit,
-        workspace: &mut RouteWorkspace,
     ) {
-        let Some(bound) = self.max_training_rows else {
-            panic!("only a fit set with a training-set bound can be extended");
-        };
+        assert!(path.depth() > 0, "the path holds no speculated row");
         assert_eq!(rows.len(), self.rows, "the fit covers another row block");
         let members = self.members;
         let width = self.rows;
+        let new_sample = path.data.len() - 1;
         child.members = members;
         child.rows = width;
-        child.max_training_rows = Some(bound);
-        child.data.clone_from(&self.data);
-        child.data.push_row(sample, target);
-        child.fallback = child.data.target_mean();
+        child.fallback = path.data.target_mean();
         child.values.resize(members.count * width, 0.0);
         child.fitted.clone_from(&self.fitted);
-        child.resamples.resize_with(members.count, Vec::new);
-        let new_sample = self.data.len();
         for t in 0..members.count {
             let span = t * width..(t + 1) * width;
-            let resample = &mut child.resamples[t];
-            resample.clone_from(&self.resamples[t]);
-            let draws = members.draws(t, new_sample);
-            if draws == 0 {
+            if members.draws(t, new_sample) == 0 {
                 // The resample is unchanged, and so is the member.
                 if self.fitted[t] {
                     child.values[span.clone()].copy_from_slice(&self.values[span]);
                 }
                 continue;
             }
-            resample.extend(std::iter::repeat_n(new_sample, draws));
-            child.fitted[t] = members.tree(child.data.dims(), t).fit_predict_rows(
-                &child.data,
-                resample,
-                features,
-                rows,
-                &mut child.values[span],
-                workspace,
-            );
+            child.fitted[t] = path.rebuild(members, t, features, rows, &mut child.values[span]);
         }
     }
 
-    /// Grows `child` and `workspace` to hold any extension of this fit over
-    /// a block of up to `rows` rows, so [`SpeculativeFit::extend_into`]
-    /// fills them without reallocating. The capacities depend only on
-    /// `rows` and this fit's members, dimensions and training-set bound, not
-    /// on which extensions the buffers serve.
-    pub fn reserve_extension(
-        &self,
-        rows: usize,
-        child: &mut SpeculativeFit,
-        workspace: &mut RouteWorkspace,
-    ) {
+    /// Grows `child` to hold any extension of this fit over a block of up
+    /// to `rows` rows, so [`SpeculativeFit::extend_into`] fills it without
+    /// reallocating. The capacities depend only on `rows` and this fit's
+    /// member count.
+    pub fn reserve_extension(&self, rows: usize, child: &mut SpeculativeFit) {
         let count = self.members.count;
         reserve_total(&mut child.values, count * rows);
         reserve_total(&mut child.fitted, count);
-        let Some(bound) = self.max_training_rows else {
-            return;
-        };
-        let dims = self.data.dims();
-        if child.data.dims() != dims {
-            child.data = TrainingSet::new(dims);
-        }
-        child.data.reserve(bound);
-        child.resamples.resize_with(count, Vec::new);
-        for resample in &mut child.resamples {
-            reserve_total(resample, RESAMPLE_HEADROOM * bound);
-        }
-        workspace.reserve(RESAMPLE_HEADROOM * bound, rows, dims);
     }
 
     /// The ensemble's predictions at the block rows, in block order:
@@ -739,29 +616,162 @@ impl SpeculativeFit {
     /// fingerprint for buffer-reuse tests).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.values.capacity()
-            + self.fitted.capacity()
-            + self.data.capacity()
+        self.values.capacity() + self.fitted.capacity()
+    }
+}
+
+/// One worker's speculation path: the training set and member resamples
+/// that every [`SpeculativeFit::extend_into`] along the path rebuilds from,
+/// and the rebuilds' buffers.
+///
+/// The speculation engine walks each worker's paths depth-first, pushing a
+/// speculated observation where it descends and popping it where it
+/// returns. A state `d` observations deep stands for the root model's
+/// training set of `n₀` rows followed by the path's first `d` rows, and
+/// member `t`'s resample of it is the root multiset followed by the draws of
+/// samples `n₀ … n₀ + d − 1`. So the path holds, for every state on it, the
+/// rows and root multisets a rebuild reads, and a fit holds only its
+/// values.
+///
+/// [`SpeculativePath::set_root`] reserves every buffer for the largest
+/// training set the path will hold, so a path reused across decisions
+/// stops allocating after its first.
+#[derive(Debug)]
+pub struct SpeculativePath {
+    /// The root model's training set, followed by the path's rows.
+    data: TrainingSet,
+    /// Number of root rows `n₀` at the front of `data`.
+    real: usize,
+    /// Each member's resample multiset over the root rows, ascending.
+    resamples: Vec<Vec<usize>>,
+    /// The multiset of the member being rebuilt, partitioned in place as
+    /// its build descends.
+    indices: Vec<usize>,
+    buffers: RouteBuffers,
+}
+
+impl Default for SpeculativePath {
+    /// An empty path over no model.
+    fn default() -> Self {
+        Self {
+            data: TrainingSet::new(1),
+            real: 0,
+            resamples: Vec::new(),
+            indices: Vec::new(),
+            buffers: RouteBuffers::default(),
+        }
+    }
+}
+
+impl SpeculativePath {
+    /// Resets the path to `model`'s training set with no speculated row,
+    /// deriving each member's resample of it from the counter hash. `dims`
+    /// is the rows' feature width (the model's), and `max_rows` bounds both
+    /// the training sets the path will hold, root and speculated rows
+    /// together, and the row blocks its rebuilds route. Every buffer is
+    /// reserved for those bounds, so a path refilled with the same `dims`,
+    /// `max_rows` and ensemble seed and size never reallocates.
+    pub fn set_root(&mut self, model: &BaggingEnsemble, dims: usize, max_rows: usize) {
+        let members = model.members;
+        // No member resample over `max_rows` samples draws more often: the
+        // run-constant bound of every rebuild's multiset.
+        let draws = (0..members.count)
+            .map(|t| (0..max_rows).map(|i| members.draws(t, i)).sum::<usize>())
+            .max()
+            .unwrap_or(0);
+        // Reserve before refilling, so the capacities are the bounds exactly.
+        self.data.reset(dims);
+        self.data.reserve(max_rows);
+        if let Some(data) = &model.data {
+            self.data.clone_from(data);
+        }
+        self.real = self.data.len();
+        self.resamples.resize_with(members.count, Vec::new);
+        for (t, resample) in self.resamples.iter_mut().enumerate() {
+            resample.clear();
+            reserve_total(resample, draws);
+            members.resample(t, 0..self.real, resample);
+        }
+        reserve_total(&mut self.indices, draws);
+        self.buffers.reserve(draws, max_rows, dims);
+    }
+
+    /// Appends a speculated observation: the path now stands for the state
+    /// one step deeper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` has the wrong length or a non-finite value, or
+    /// if `target` is not finite.
+    pub fn push(&mut self, features: &[f64], target: f64) {
+        self.data.push_row(features, target);
+    }
+
+    /// Removes the last speculated observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path holds no speculated row.
+    pub fn pop(&mut self) {
+        assert!(self.depth() > 0, "the path holds no speculated row");
+        self.data.truncate(self.data.len() - 1);
+    }
+
+    /// Number of speculated observations on the path.
+    fn depth(&self) -> usize {
+        self.data.len() - self.real
+    }
+
+    /// Rebuilds member `t` of an ensemble configured as `members` on the
+    /// path's rows, from its root multiset followed by the draws of the
+    /// path's samples (ascending, as `refit_with` extends it), and writes
+    /// its values at `rows` of `features` into `out`. Returns false when the
+    /// multiset is empty.
+    fn rebuild(
+        &mut self,
+        members: Members,
+        t: usize,
+        features: &FeatureMatrix,
+        rows: &[usize],
+        out: &mut [f64],
+    ) -> bool {
+        self.indices.clear();
+        self.indices.extend_from_slice(&self.resamples[t]);
+        members.resample(t, self.real..self.data.len(), &mut self.indices);
+        members.tree(self.data.dims(), t).fit_predict_rows(
+            &self.data,
+            &mut self.indices,
+            features,
+            rows,
+            out,
+            &mut self.buffers,
+        )
+    }
+
+    /// Number of slots the buffers hold without growing (a capacity
+    /// fingerprint for buffer-reuse tests).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
             + self.resamples.capacity()
             + self.resamples.iter().map(Vec::capacity).sum::<usize>()
+            + self.indices.capacity()
+            + self.buffers.capacity()
     }
 }
 
 impl Surrogate for BaggingEnsemble {
     fn fit(&mut self, data: &TrainingSet) {
         self.trees.clear();
-        self.resamples.clear();
         self.data = None;
         self.fitted = false;
         if data.is_empty() {
             return;
         }
-        for t in 0..self.members.count {
-            let resample = self.members.resample(t, 0..data.len());
-            let tree = self.make_tree(data, t, &resample);
-            self.trees.push(Arc::new(tree));
-            self.resamples.push(Arc::new(resample));
-        }
+        let mut resample = Vec::new();
+        self.trees = (0..self.members.count)
+            .map(|t| self.members.fit(data, t, &mut resample))
+            .collect();
         self.data = Some(data.clone());
         self.fitted = true;
     }
@@ -1009,17 +1019,19 @@ mod tests {
         let mut base = BaggingEnsemble::with_seed(32, 3);
         base.fit(&data);
         let refit = base.refit_with(&[(&[15.0][..], 225.0)]);
-        // With 32 trees, in expectation ~e^-1 ≈ 37% skip the new sample; the
-        // chance of *none* skipping is astronomically small. Reuse means
-        // sharing the very same allocation, not an equal copy.
-        let reused = refit
-            .trees
-            .iter()
-            .zip(&base.trees)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count();
-        assert!(reused > 0, "no member tree was reused");
-        assert!(reused < 32, "every member tree was reused");
+        // With 32 trees, in expectation ~e^-1 ≈ 37% skip the new sample
+        // (index 30); the chance of none or all of them skipping it is
+        // astronomically small.
+        let (skipped, drawn): (Vec<usize>, Vec<usize>) =
+            (0..32).partition(|&t| base.members.draws(t, 30) == 0);
+        assert!(!skipped.is_empty(), "every member drew the new sample");
+        for &t in &skipped {
+            assert_eq!(refit.trees[t], base.trees[t], "member {t} changed");
+        }
+        assert!(
+            drawn.iter().any(|&t| refit.trees[t] != base.trees[t]),
+            "no member tree was rebuilt"
+        );
     }
 
     #[test]
@@ -1124,7 +1136,7 @@ mod tests {
         model.predict_rows(&matrix, &rows, &mut flat);
         model.predict_rows_pointer(&matrix, &rows, &mut pointer);
         let mut fit = SpeculativeFit::default();
-        fit.set_root(&model, &matrix, &rows, None);
+        fit.set_root(&model, &matrix, &rows);
         fit.predict_into(&mut speculative);
         assert_eq!(bits(&flat), bits(&pointer), "flat diverged from pointer");
         assert_eq!(bits(&flat), bits(&speculative), "speculative fit diverged");
@@ -1136,47 +1148,10 @@ mod tests {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         unfitted.predict_rows(&matrix, &rows, &mut a);
         unfitted.predict_rows_pointer(&matrix, &rows, &mut b);
-        fit.set_root(&unfitted, &matrix, &rows, None);
+        fit.set_root(&unfitted, &matrix, &rows);
         fit.predict_into(&mut speculative);
         assert_eq!(a, b);
         assert_eq!(bits(&a), bits(&speculative));
-    }
-
-    #[test]
-    fn speculative_root_without_a_bound_copies_no_training_set() {
-        // The LA = 0 root: member values only.
-        let data = noisy_quadratic(30);
-        let mut model = BaggingEnsemble::with_seed(10, 4);
-        model.fit(&data);
-        let matrix = FeatureMatrix::from_rows(1, (0..9).map(|i| [f64::from(i)]));
-        let rows: Vec<usize> = (0..matrix.rows()).collect();
-        let mut fit = SpeculativeFit::default();
-        fit.set_root(&model, &matrix, &rows, None);
-        assert_eq!(fit.data.capacity(), 0, "the training set was copied");
-        assert!(fit.resamples.is_empty(), "the resamples were copied");
-        let (mut expected, mut got) = (Vec::new(), Vec::new());
-        model.predict_rows(&matrix, &rows, &mut expected);
-        fit.predict_into(&mut got);
-        assert_eq!(bits(&expected), bits(&got));
-    }
-
-    #[test]
-    #[should_panic(expected = "training-set bound")]
-    fn speculative_extension_of_a_predict_only_fit_panics() {
-        let mut model = BaggingEnsemble::with_seed(4, 4);
-        model.fit(&noisy_quadratic(6));
-        let matrix = FeatureMatrix::from_rows(1, [[1.0]]);
-        let mut fit = SpeculativeFit::default();
-        fit.set_root(&model, &matrix, &[0], None);
-        let mut child = SpeculativeFit::default();
-        fit.extend_into(
-            &matrix,
-            &[0],
-            &[2.0],
-            4.0,
-            &mut child,
-            &mut RouteWorkspace::default(),
-        );
     }
 
     #[test]
@@ -1186,13 +1161,15 @@ mod tests {
         // falls back to the target mean or averages the few that did.
         let matrix = FeatureMatrix::from_rows(1, [[0.5], [3.0]]);
         let rows = [0usize, 1];
+        let mut path = SpeculativePath::default();
         for seed in 0..16 {
             let unfitted = BaggingEnsemble::with_seed(3, seed);
             let mut root = SpeculativeFit::default();
-            root.set_root(&unfitted, &matrix, &rows, Some(4));
+            root.set_root(&unfitted, &matrix, &rows);
+            path.set_root(&unfitted, 1, 4);
+            path.push(&[2.0], 7.0);
             let mut child = SpeculativeFit::default();
-            let mut workspace = RouteWorkspace::default();
-            root.extend_into(&matrix, &rows, &[2.0], 7.0, &mut child, &mut workspace);
+            root.extend_into(&mut path, &matrix, &rows, &mut child);
             let (mut expected, mut got) = (Vec::new(), Vec::new());
             unfitted
                 .refit_with(&[(&[2.0][..], 7.0)])
@@ -1204,37 +1181,55 @@ mod tests {
 
     #[test]
     fn speculative_fits_stop_growing_once_sized() {
+        const MAX_ROWS: usize = 30;
         let data = noisy_quadratic(12);
         let mut model = BaggingEnsemble::with_seed(10, 8);
         model.fit(&data);
         let matrix = FeatureMatrix::from_rows(1, (0..20).map(|i| [f64::from(i) * 0.5]));
         let rows: Vec<usize> = (0..matrix.rows()).collect();
         let mut root = SpeculativeFit::default();
-        root.set_root(&model, &matrix, &rows, Some(30));
+        root.set_root(&model, &matrix, &rows);
         let root_capacity = root.capacity();
-        // Reserved for the whole matrix up front, the child and the
-        // workspace hold every extension over any narrower block and any
-        // training set within the bound without growing, and the
-        // reservation depends on nothing else.
-        let (mut child, mut workspace) = (SpeculativeFit::default(), RouteWorkspace::default());
-        root.reserve_extension(matrix.rows(), &mut child, &mut workspace);
-        let reserved = child.capacity() + workspace.capacity();
+        // Reserved for the whole matrix and the largest training set up
+        // front, two alternating fits and the path hold every extension over
+        // any narrower block and any path within the bound without growing,
+        // and the reservation depends on nothing else.
+        let mut fits = [SpeculativeFit::default(), SpeculativeFit::default()];
+        for fit in &mut fits {
+            root.reserve_extension(matrix.rows(), fit);
+        }
+        let mut path = SpeculativePath::default();
+        path.set_root(&model, 1, MAX_ROWS);
+        let capacity = |fits: &[SpeculativeFit; 2], path: &SpeculativePath| {
+            fits[0].capacity() + fits[1].capacity() + path.capacity()
+        };
+        let reserved = capacity(&fits, &path);
         for step in 0..12 {
             let width = matrix.rows() - step;
-            root.set_root(&model, &matrix, &rows[..width], Some(30));
-            root.extend_into(
-                &matrix,
-                &rows[..width],
-                &[7.5],
-                50.0 + step as f64,
-                &mut child,
-                &mut workspace,
-            );
+            root.set_root(&model, &matrix, &rows[..width]);
+            path.set_root(&model, 1, MAX_ROWS);
+            path.push(&[7.5], 50.0 + step as f64);
+            root.extend_into(&mut path, &matrix, &rows[..width], &mut fits[0]);
+            // …and down to the bound.
+            for depth in 1..MAX_ROWS - model.training_len() {
+                path.push(&[depth as f64 * 0.25], depth as f64);
+                let [even, odd] = &mut fits;
+                let (parent, child) = if depth % 2 == 1 {
+                    (&*even, odd)
+                } else {
+                    (&*odd, even)
+                };
+                parent.extend_into(&mut path, &matrix, &rows[..width], child);
+            }
             assert_eq!(root.capacity(), root_capacity, "step {step}");
-            assert_eq!(child.capacity() + workspace.capacity(), reserved);
-            let mut fresh = (SpeculativeFit::default(), RouteWorkspace::default());
-            root.reserve_extension(matrix.rows(), &mut fresh.0, &mut fresh.1);
-            assert_eq!(fresh.0.capacity() + fresh.1.capacity(), reserved);
+            assert_eq!(capacity(&fits, &path), reserved, "step {step}");
+            let mut fresh = [SpeculativeFit::default(), SpeculativeFit::default()];
+            for fit in &mut fresh {
+                root.reserve_extension(matrix.rows(), fit);
+            }
+            let mut fresh_path = SpeculativePath::default();
+            fresh_path.set_root(&model, 1, MAX_ROWS);
+            assert_eq!(capacity(&fresh, &fresh_path), reserved, "step {step}");
             model = model.refit_with(&[(&[step as f64][..], (step * step) as f64)]);
         }
     }

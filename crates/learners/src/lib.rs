@@ -18,7 +18,11 @@
 //!   by one speculated observation at a time without building a tree,
 //!   bit-identically to
 //!   [`BaggingEnsemble::refit_with`] followed by
-//!   [`Surrogate::predict_rows`].
+//!   [`Surrogate::predict_rows`];
+//! * [`SpeculativePath`] — one worker's speculated rows on top of the real
+//!   training set, with each member's resample of the real rows: the one
+//!   copy of the data every extension along the worker's current path
+//!   rebuilds from, so a fit stores nothing but its values.
 //!
 //! # Example
 //!
@@ -44,6 +48,6 @@ pub mod bagging;
 pub mod model;
 pub mod tree;
 
-pub use bagging::{BaggingEnsemble, SpeculativeFit};
+pub use bagging::{BaggingEnsemble, SpeculativeFit, SpeculativePath};
 pub use model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
-pub use tree::{RegressionTree, RouteWorkspace};
+pub use tree::RegressionTree;

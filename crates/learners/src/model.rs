@@ -4,10 +4,10 @@
 /// and one target (the measured cost) per profiled configuration.
 ///
 /// Features are stored row-major in one flat allocation, so cloning a
-/// training set — which the speculation engine does once per speculated
-/// observation — is two `memcpy`s instead of one heap allocation per
-/// observation (none at all through `clone_from` into a buffer that has
-/// grown), and row access during tree construction stays cache-friendly.
+/// training set — which each speculation path does once per decision — is
+/// two `memcpy`s instead of one heap allocation per observation (none at
+/// all through `clone_from` into a buffer that has grown), and row access
+/// during tree construction stays cache-friendly.
 #[derive(Debug, PartialEq)]
 pub struct TrainingSet {
     dims: usize,
@@ -92,6 +92,20 @@ impl TrainingSet {
         assert!(target.is_finite(), "target must be finite");
         self.features.extend_from_slice(features);
         self.targets.push(target);
+    }
+
+    /// Drops every observation and re-dimensions the set, keeping the
+    /// allocation.
+    pub(crate) fn reset(&mut self, dims: usize) {
+        assert!(dims > 0, "feature vectors need at least one dimension");
+        self.dims = dims;
+        self.truncate(0);
+    }
+
+    /// Keeps the first `len` observations.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.features.truncate(len * self.dims);
+        self.targets.truncate(len);
     }
 
     /// Grows the buffers to hold `rows` observations in total without

@@ -309,6 +309,7 @@ impl RegressionTree {
     /// down each split as the split is chosen, and writes each row's leaf
     /// value into `out` — storing no node. Returns false, leaving `out`
     /// untouched, when `indices` is empty (the tree would be unfitted).
+    /// `indices` is partitioned in place as the build descends.
     ///
     /// Bit-identical to `fit_indexed` followed by
     /// [`RegressionTree::predict_values_into`]: both builders run the same
@@ -323,11 +324,11 @@ impl RegressionTree {
     pub(crate) fn fit_predict_rows(
         &self,
         data: &TrainingSet,
-        indices: &[usize],
+        indices: &mut [usize],
         features: &FeatureMatrix,
         rows: &[usize],
         out: &mut [f64],
-        workspace: &mut RouteWorkspace,
+        buffers: &mut RouteBuffers,
     ) -> bool {
         assert_eq!(rows.len(), out.len(), "one output slot per row");
         if indices.is_empty() {
@@ -337,13 +338,7 @@ impl RegressionTree {
             indices.iter().all(|&i| i < data.len()),
             "resample index out of range"
         );
-        let RouteWorkspace {
-            indices: owned,
-            route,
-            split,
-        } = workspace;
-        owned.clear();
-        owned.extend_from_slice(indices);
+        let RouteBuffers { route, split } = buffers;
         route.clear();
         route.extend(0..rows.len());
         let build = RouteBuild {
@@ -357,7 +352,7 @@ impl RegressionTree {
             draws: self.draws_features(data.dims()),
         };
         let mut rng = SeededRng::new(self.seed);
-        build.node(owned, route, 0, &mut rng, split, out);
+        build.node(indices, route, 0, &mut rng, split, out);
         true
     }
 
@@ -847,36 +842,30 @@ struct SplitBuffers {
     features: Vec<usize>,
 }
 
-/// Reusable buffers of the member rebuilds in
-/// [`SpeculativeFit::extend_into`](crate::SpeculativeFit::extend_into): a
-/// caller that keeps one per thread rebuilds allocation-free once the
-/// buffers have grown to its largest resample and row block.
+/// Reusable buffers of the fused builder's row routing and split search,
+/// held by a [`SpeculativePath`](crate::SpeculativePath) for its member
+/// rebuilds.
 #[derive(Debug, Default)]
-pub struct RouteWorkspace {
-    /// The resample multiset, partitioned in place as the build descends.
-    indices: Vec<usize>,
+pub(crate) struct RouteBuffers {
     /// Positions of the routed rows, partitioned in place per split.
     route: Vec<usize>,
     split: SplitBuffers,
 }
 
-impl RouteWorkspace {
-    /// Grows the buffers to hold a resample of `samples` draws of
-    /// `dims`-dimensional data routing `rows` rows without reallocating.
+impl RouteBuffers {
+    /// Grows the buffers to split resamples of up to `samples` draws of
+    /// `dims`-dimensional data while routing up to `rows` rows, without
+    /// reallocating.
     pub(crate) fn reserve(&mut self, samples: usize, rows: usize, dims: usize) {
-        reserve_total(&mut self.indices, samples);
         reserve_total(&mut self.split.values, samples);
         reserve_total(&mut self.split.partition, samples);
         reserve_total(&mut self.split.features, dims);
         reserve_total(&mut self.route, rows);
     }
 
-    /// Number of slots the buffers hold without growing (a capacity
-    /// fingerprint for buffer-reuse tests).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.indices.capacity()
-            + self.route.capacity()
+    /// Number of slots the buffers hold without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.route.capacity()
             + self.split.values.capacity()
             + self.split.partition.capacity()
             + self.split.features.capacity()
@@ -1133,7 +1122,7 @@ mod tests {
         use crate::model::FeatureMatrix;
         use lynceus_math::rng::SeededRng;
         let mut rng = SeededRng::new(0x5EC7);
-        let mut workspace = RouteWorkspace::default();
+        let mut buffers = RouteBuffers::default();
         let mut built_any = false;
         for round in 0..120usize {
             let dims = 1 + round % 6;
@@ -1183,11 +1172,11 @@ mod tests {
                 let mut routed = vec![f64::NAN; rows.len()];
                 let built = tree.fit_predict_rows(
                     &data,
-                    &indices,
+                    &mut indices.clone(),
                     &block,
                     &rows,
                     &mut routed,
-                    &mut workspace,
+                    &mut buffers,
                 );
                 assert_eq!(built, fitted.is_fitted(), "round {round}");
                 if built {

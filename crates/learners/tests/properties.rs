@@ -5,7 +5,7 @@
 //! a deterministic stream of randomized datasets.
 
 use lynceus_learners::{
-    BaggingEnsemble, FeatureMatrix, Prediction, RegressionTree, RouteWorkspace, SpeculativeFit,
+    BaggingEnsemble, FeatureMatrix, Prediction, RegressionTree, SpeculativeFit, SpeculativePath,
     Surrogate, TrainingSet,
 };
 use lynceus_math::rng::SeededRng;
@@ -143,16 +143,21 @@ fn bits(predictions: &[Prediction]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// A root fit and its chains of 1–3 extensions predict bit for bit what
-/// the `refit_with` chains they stand for predict, over seeds × {1, 10}
+/// A root fit and its extensions 1–3 observations deep predict bit for bit
+/// what the `refit_with` chains they stand for predict, over seeds × {1, 10}
 /// trees × {1, 3, 6} dims (6 draws features at every split) × training sets
-/// of {1, 2, 7, 15} rows (1–2 rows leave members unfitted).
+/// of {1, 2, 7, 15} rows (1–2 rows leave members unfitted). The path is
+/// walked as the engine walks it: every parent is extended into two
+/// siblings, each pushed and popped in turn, and the chain then descends
+/// from the first sibling, whose row is pushed again.
 #[test]
 fn speculative_extension_chains_match_refit_chains_bitwise() {
     const EXTENSIONS: usize = 3;
+    const SIBLINGS: usize = 2;
     let mut rng = SeededRng::new(0x5BEC);
-    let mut workspace = RouteWorkspace::default();
+    let mut path = SpeculativePath::default();
     let mut chain = vec![SpeculativeFit::default(); EXTENSIONS + 1];
+    let mut sibling = SpeculativeFit::default();
     let (mut expected, mut got) = (Vec::new(), Vec::new());
     let mut fits = 0usize;
     let mut fallbacks = 0usize;
@@ -176,7 +181,8 @@ fn speculative_extension_chains_match_refit_chains_bitwise() {
                     let block = FeatureMatrix::from_rows(dims, &block_rows);
                     let rows: Vec<usize> = (0..block.rows()).collect();
 
-                    chain[0].set_root(&model, &block, &rows, Some(len + EXTENSIONS));
+                    chain[0].set_root(&model, &block, &rows);
+                    path.set_root(&model, dims, len + EXTENSIONS);
                     model.predict_rows(&block, &rows, &mut expected);
                     chain[0].predict_into(&mut got);
                     assert_eq!(bits(&expected), bits(&got), "root, {len} rows");
@@ -184,40 +190,52 @@ fn speculative_extension_chains_match_refit_chains_bitwise() {
 
                     let mut refit = model;
                     for depth in 1..=EXTENSIONS {
-                        // Speculated costs are Gauss–Hermite nodes: arbitrary
-                        // floats, or a repeat of an observed cost.
-                        let sample = grid_row(&mut rng, dims);
-                        let target = if depth == 2 {
-                            grid_target(&mut rng)
-                        } else {
-                            rng.uniform(1.0, 40.0)
-                        };
                         let (parents, children) = chain.split_at_mut(depth);
-                        parents[depth - 1].extend_into(
-                            &block,
-                            &rows,
-                            &sample,
-                            target,
-                            &mut children[0],
-                            &mut workspace,
-                        );
-                        refit = refit.refit_with(&[(&sample[..], target)]);
-                        refit.predict_rows(&block, &rows, &mut expected);
-                        children[0].predict_into(&mut got);
-                        assert_eq!(
-                            bits(&expected),
-                            bits(&got),
-                            "extension {depth}: {trees} trees, {dims} dims, {len} rows"
-                        );
-                        if refit.member_predictions(&sample).len() < trees {
-                            fallbacks += 1;
+                        let mut first = None;
+                        for k in 0..SIBLINGS {
+                            // Speculated costs are Gauss–Hermite nodes:
+                            // arbitrary floats, or a repeat of an observed
+                            // cost.
+                            let sample = grid_row(&mut rng, dims);
+                            let target = if depth == 2 {
+                                grid_target(&mut rng)
+                            } else {
+                                rng.uniform(1.0, 40.0)
+                            };
+                            let child = if k == 0 {
+                                &mut children[0]
+                            } else {
+                                &mut sibling
+                            };
+                            path.push(&sample, target);
+                            parents[depth - 1].extend_into(&mut path, &block, &rows, child);
+                            path.pop();
+                            let child_refit = refit.refit_with(&[(&sample[..], target)]);
+                            child_refit.predict_rows(&block, &rows, &mut expected);
+                            child.predict_into(&mut got);
+                            assert_eq!(
+                                bits(&expected),
+                                bits(&got),
+                                "extension {depth}, sibling {k}: {trees} trees, {dims} dims, \
+                                 {len} rows"
+                            );
+                            if child_refit.member_predictions(&sample).len() < trees {
+                                fallbacks += 1;
+                            }
+                            fits += 1;
+                            if k == 0 {
+                                first = Some((sample, target, child_refit));
+                            }
                         }
-                        fits += 1;
+                        let (sample, target, first_refit) =
+                            first.expect("every parent has siblings");
+                        path.push(&sample, target);
+                        refit = first_refit;
                     }
                 }
             }
         }
     }
-    assert_eq!(fits, 40 * 2 * 3 * 4 * (EXTENSIONS + 1));
+    assert_eq!(fits, 40 * 2 * 3 * 4 * (1 + EXTENSIONS * SIBLINGS));
     assert!(fallbacks > 0, "no chain left a member unfitted");
 }

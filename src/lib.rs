@@ -205,12 +205,11 @@
 //!   at. The root pass descends each member tree of the real surrogate
 //!   over that block once per decision. Every speculated state's surrogate
 //!   is then a [`learners::SpeculativeFit`]: each member's values at the
-//!   block, plus the training set and Poisson resamples needed to extend
-//!   it by one more observation — no tree. Scoring a state aggregates the
-//!   member values (a mean pass, then a deviation pass, in member order)
-//!   into reusable buffers, bit-identically to
-//!   [`learners::Surrogate::predict_rows`] on the ensemble the fit stands
-//!   for.
+//!   block and nothing else — no tree, no training set, no resample.
+//!   Scoring a state aggregates the member values (a mean pass, then a
+//!   deviation pass, in member order) into reusable buffers,
+//!   bit-identically to [`learners::Surrogate::predict_rows`] on the
+//!   ensemble the fit stands for.
 //! * **Flat struct-of-arrays tree tables** — fitting a
 //!   [`learners::RegressionTree`] also lays the tree out as three
 //!   contiguous arrays (`feature`, `threshold`, packed child indices with
@@ -234,8 +233,15 @@
 //!   not draw the new sample and rebuilds the others with a fused
 //!   fit-and-route builder (`RegressionTree::fit_predict_rows`) that sends
 //!   the block rows down each split as it chooses the split and stores no
-//!   node. Both builders share one split search, so their
-//!   arithmetic cannot drift apart.
+//!   node. Both builders share one split search, so their arithmetic
+//!   cannot drift apart. A rebuild reads its rows and multiset from the
+//!   worker's [`learners::SpeculativePath`]: the real training set with
+//!   the current path's speculated rows pushed and popped on top (in step
+//!   with the cursor), and each member's resample of the real rows, derived
+//!   once per decision. A count depends only on `(seed, member, sample)`,
+//!   so a member's multiset at path depth `d` is that resample followed by
+//!   the draws of the path's `d` samples, whichever state it is rebuilt
+//!   for.
 //! * **Copy-on-write speculation** — [`core::SpeculativeCursor`] overlays
 //!   speculated observations on the real search state with push/pop
 //!   semantics instead of cloning the whole state per branch.
@@ -290,7 +296,7 @@
 //! Per-decision state lives in a Driver-owned arena (prediction buffers,
 //! the root and per-level speculative fits, Γ extraction, bound/dispatch
 //! buffers, per-worker scratch recycling with each worker's branch fits and
-//! rebuild workspace, and an `O(1)`-per-push speculated-membership mask
+//! speculation path, and an `O(1)`-per-push speculated-membership mask
 //! replacing per-candidate speculation-stack scans), so a run performs a
 //! bounded number of heap allocations after its first decision regardless
 //! of length.
@@ -364,8 +370,8 @@
 //! carry fixed 4-thread cells (`lookahead2_multicore` and the lookahead
 //! bench's `multicore_cells`) so a multicore box only has to re-run the
 //! benches; on a host with fewer than 4 CPUs they are honest
-//! oversubscribed measurements and flagged as such — the work-stealing
-//! pool's near-linear cross-core scaling claim remains to be measured on
+//! oversubscribed measurements and flagged as such — the worker pool's
+//! near-linear cross-core scaling claim remains to be measured on
 //! real hardware, since candidate expansions are independent.
 
 #![forbid(unsafe_code)]

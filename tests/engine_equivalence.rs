@@ -6,7 +6,7 @@
 //!
 //! This is the executable contract of the speculation-engine work: every
 //! optimization — batched predictions, incremental surrogate extension,
-//! overlay states, memoized tree values, work-stealing branch evaluation,
+//! overlay states, tree-free speculated fits, pooled candidate expansion,
 //! and best-first bound-and-prune expansion — is a pure implementation
 //! change, observable only as wall-clock time. (`tests/bound_and_prune.rs`
 //! adds the seeded random-space matrix at `LA = 3`.)
@@ -105,7 +105,7 @@ fn pruned_engine_matches_exhaustive_at_lookahead_three_on_a_real_dataset() {
 
 #[test]
 fn engines_recommend_identically_with_parallel_paths() {
-    // The work-stealing pool must not change a single decision.
+    // The worker pool must not change a single decision.
     let dataset = cherrypick::dataset(&cherrypick::jobs()[0], 1);
     let mut settings = settings_for(&dataset, 1);
     settings.parallel_paths = true;

@@ -1,12 +1,12 @@
-//! Thread-count determinism matrix for the work-stealing pool.
+//! Thread-count determinism matrix for the fork-join pool.
 //!
 //! `tests/engine_equivalence.rs` proves the two speculation engines agree;
 //! these tests pin down the property that makes that possible at the pool
 //! layer: for a pure task function, `core::pool::run_indexed{,_with}` (and
 //! the shared-budget [`Pool`] wrapper the tuning service multiplexes
 //! sessions through) return bit-identical outputs for *any* worker count —
-//! including workloads with wildly skewed task costs that force the
-//! stealing path.
+//! including workloads with wildly skewed task costs, where workers take
+//! tasks from the shared cursor and finish them out of order.
 //!
 //! The matrix covers `threads ∈ {1, 2, 8}` plus an optional extra count
 //! from the `LYNCEUS_TEST_THREADS` environment variable, which the CI
@@ -33,9 +33,9 @@ fn thread_matrix() -> Vec<usize> {
 }
 
 /// A task whose cost is wildly skewed across indices (three orders of
-/// magnitude), so that any multi-worker run exercises stealing, and whose
-/// result depends on floating-point accumulation order — exactly the kind
-/// of computation that would expose a schedule-dependent pool.
+/// magnitude), so that any multi-worker run finishes tasks out of order,
+/// and whose result depends on floating-point accumulation order — exactly
+/// the kind of computation that would expose a schedule-dependent pool.
 fn skewed_task(i: usize) -> f64 {
     let spins = match i % 13 {
         0 => 50_000,
@@ -71,7 +71,7 @@ fn run_indexed_is_bit_identical_across_the_thread_matrix() {
 #[test]
 fn run_indexed_with_scratch_is_bit_identical_across_the_thread_matrix() {
     // Per-worker scratch buffers are reused across every task a worker
-    // steals; the scratch must never leak into results.
+    // takes; the scratch must never leak into results.
     let n = 96;
     let task = |scratch: &mut Vec<f64>, i: usize| -> u64 {
         scratch.clear();
