@@ -18,13 +18,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
-/// Upper bound on workers: one per available CPU.
+/// Upper bound on workers: one per available CPU, asked once per process.
+/// Every fan-out reads it, and on Linux the query reads the cgroup CPU
+/// quota files (tens of microseconds a call).
 pub(crate) fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    })
 }
 
 /// A shared worker-thread budget for concurrent batch submissions and

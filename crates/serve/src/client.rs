@@ -81,15 +81,7 @@ impl Client {
         target: &str,
         body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
-        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: lynceus\r\n");
-        let payload = body.unwrap_or("");
-        if !payload.is_empty() || method == "POST" {
-            head.push_str(&format!("Content-Length: {}\r\n", payload.len()));
-        }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(payload.as_bytes())?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, method, target, body.unwrap_or(""))?;
         self.read_response()
     }
 
@@ -161,5 +153,70 @@ impl Client {
             headers,
             body,
         })
+    }
+}
+
+/// Writes one request (head and `payload`) as a single `write_all` and a
+/// flush, for the reason [`crate::http::Response::write_to`] does: a body
+/// sent after its head waits out the server's delayed ACK.
+fn write_request(
+    writer: &mut impl Write,
+    method: &str,
+    target: &str,
+    payload: &str,
+) -> std::io::Result<()> {
+    let mut message = format!("{method} {target} HTTP/1.1\r\nHost: lynceus\r\n");
+    if !payload.is_empty() || method == "POST" {
+        message.push_str(&format!("Content-Length: {}\r\n", payload.len()));
+    }
+    message.push_str("\r\n");
+    message.push_str(payload);
+    writer.write_all(message.as_bytes())?;
+    writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::{Recorded, Recorder};
+
+    #[test]
+    fn a_request_goes_out_in_one_write_then_a_flush() {
+        let mut out = Recorder::default();
+        write_request(&mut out, "POST", "/v1/sessions", "{\"v\":1}").expect("in-memory write");
+        assert_eq!(
+            out.calls,
+            [
+                Recorded::Write(
+                    b"POST /v1/sessions HTTP/1.1\r\nHost: lynceus\r\n\
+                      Content-Length: 7\r\n\r\n{\"v\":1}"
+                        .to_vec()
+                ),
+                Recorded::Flush,
+            ]
+        );
+
+        // A body-less GET sends no length; a body-less POST sends length 0.
+        let mut out = Recorder::default();
+        write_request(&mut out, "GET", "/v1/stats", "").expect("in-memory write");
+        assert_eq!(
+            out.calls,
+            [
+                Recorded::Write(b"GET /v1/stats HTTP/1.1\r\nHost: lynceus\r\n\r\n".to_vec()),
+                Recorded::Flush,
+            ]
+        );
+        let mut out = Recorder::default();
+        write_request(&mut out, "POST", "/v1/flush", "").expect("in-memory write");
+        assert_eq!(
+            out.calls,
+            [
+                Recorded::Write(
+                    b"POST /v1/flush HTTP/1.1\r\nHost: lynceus\r\nContent-Length: 0\r\n\r\n"
+                        .to_vec()
+                ),
+                Recorded::Flush,
+            ]
+        );
     }
 }

@@ -329,7 +329,13 @@ impl Response {
         }
     }
 
-    /// Serializes the response (status line, headers, body) to `writer`.
+    /// Serializes the response (status line, headers, body) to `writer` as
+    /// one `write_all` followed by a flush.
+    ///
+    /// One write per message is what keeps a keep-alive exchange at the
+    /// tuner's speed: a head and a body written separately to a socket
+    /// with Nagle's algorithm on hold the body back until the peer ACKs the
+    /// head, which a delayed-ACK peer does ~40 ms later.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
         head.push_str("Content-Type: application/json\r\n");
@@ -343,15 +349,42 @@ impl Response {
             "Connection: keep-alive\r\n"
         });
         head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        let mut message = head.into_bytes();
+        message.extend_from_slice(&self.body);
+        writer.write_all(&message)?;
         writer.flush()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One call a [`Recorder`] saw.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) enum Recorded {
+        Write(Vec<u8>),
+        Flush,
+    }
+
+    /// A `Write` that accepts every byte and records each `write` and
+    /// `flush` call in order, so a test can pin how a message was sent.
+    #[derive(Default)]
+    pub(crate) struct Recorder {
+        pub(crate) calls: Vec<Recorded>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.push(Recorded::Write(buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.calls.push(Recorded::Flush);
+            Ok(())
+        }
+    }
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         read_request(
@@ -479,5 +512,61 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"v\":1,\"error\":\"shed\"}"));
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write_then_a_flush() {
+        let sent = |response: &Response| {
+            let mut out = Recorder::default();
+            response.write_to(&mut out).expect("in-memory write");
+            out.calls
+        };
+        let ok = Response::json(
+            200,
+            &crate::json::Value::Obj(vec![("ok".to_owned(), crate::json::Value::Bool(true))]),
+        );
+        assert_eq!(
+            sent(&ok),
+            [
+                Recorded::Write(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                      Content-Length: 11\r\nConnection: keep-alive\r\n\r\n{\"ok\":true}"
+                        .to_vec()
+                ),
+                Recorded::Flush,
+            ]
+        );
+        let shed = Response::error(503, "shed")
+            .with_header("Retry-After", "7")
+            .closing();
+        assert_eq!(
+            sent(&shed),
+            [
+                Recorded::Write(
+                    b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                      Content-Length: 22\r\nRetry-After: 7\r\nConnection: close\r\n\r\n\
+                      {\"v\":1,\"error\":\"shed\"}"
+                        .to_vec()
+                ),
+                Recorded::Flush,
+            ]
+        );
+        let empty = Response {
+            status: 202,
+            headers: Vec::new(),
+            body: Vec::new(),
+            close: false,
+        };
+        assert_eq!(
+            sent(&empty),
+            [
+                Recorded::Write(
+                    b"HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\n\
+                      Content-Length: 0\r\nConnection: keep-alive\r\n\r\n"
+                        .to_vec()
+                ),
+                Recorded::Flush,
+            ]
+        );
     }
 }

@@ -34,7 +34,7 @@ use lynceus_core::{
     SessionSpec, SessionStatus, TuningService,
 };
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,7 +55,9 @@ pub struct ServerConfig {
     /// Request parsing limits.
     pub limits: HttpLimits,
     /// Read timeout per request, the half-open-connection guard: a peer
-    /// that stops mid-request is answered with 408 and dropped.
+    /// that stops mid-request is answered with 408 and dropped, and a
+    /// keep-alive connection idle this long is closed silently. It never
+    /// delays [`Server::shutdown`], which ends idle connections itself.
     pub read_timeout_ms: u64,
     /// Accept-and-hold mode: admitted sessions are registered but not
     /// forwarded to the service until `POST /v1/flush`. This makes
@@ -141,13 +143,16 @@ struct ServerShared {
     read_timeout_ms: u64,
     hold_sessions: bool,
     stop: Mutex<bool>,
+    /// One slot per handler thread, holding a clone of the connection that
+    /// handler is serving, so [`Server::shutdown`] can close it instead of
+    /// waiting for an idle keep-alive peer's read to time out.
+    connections: Vec<Mutex<Option<TcpStream>>>,
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) stops
 /// the listener, the handler threads and the underlying service.
 pub struct Server {
     addr: SocketAddr,
-    handler_threads: usize,
     shared: Arc<ServerShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -162,6 +167,7 @@ impl Server {
             service = service.with_knowledge_store(store);
         }
         let service = Arc::new(service);
+        let handler_threads = config.handler_threads.max(1);
         let shared = Arc::new(ServerShared {
             service,
             registry: Registry {
@@ -178,6 +184,7 @@ impl Server {
             read_timeout_ms: config.read_timeout_ms,
             hold_sessions: config.hold_sessions,
             stop: Mutex::new(false),
+            connections: (0..handler_threads).map(|_| Mutex::new(None)).collect(),
         });
         let mut threads = Vec::new();
         {
@@ -191,20 +198,19 @@ impl Server {
             );
         }
         let listener = Arc::new(listener);
-        for handler in 0..config.handler_threads.max(1) {
+        for handler in 0..handler_threads {
             let listener = Arc::clone(&listener);
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("lynceus-serve-handler-{handler}"))
-                    .spawn(move || run_handler(&listener, &shared))
+                    .spawn(move || run_handler(&listener, &shared, handler))
                     // lint: allow(no-panic) -- OS thread exhaustion at server startup is unrecoverable; no connection is open yet
                     .expect("failed to spawn an HTTP handler thread"),
             );
         }
         Ok(Server {
             addr,
-            handler_threads: config.handler_threads.max(1),
             shared,
             threads: Mutex::new(threads),
         })
@@ -228,13 +234,27 @@ impl Server {
         self.shared.admission.stats()
     }
 
-    /// Stops accepting, joins every thread and halts the service.
-    /// Idempotent; also runs on drop.
+    /// Stops accepting, ends every open connection, joins every thread
+    /// and halts the service. Returns without waiting for idle keep-alive
+    /// peers: their connections close at once, so a client's next request
+    /// on one fails. A request already read, a `?wait=1` long-poll that
+    /// the halt wakes included, still gets its answer, with
+    /// `Connection: close`. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         *crate::poison::lock(&self.shared.stop) = true;
+        // A handler publishes its connection and re-checks `stop` under the
+        // slot's lock, so every connection served past this point is
+        // either seen here or dropped by its handler. Shutting only the
+        // read side ends a handler blocked on an idle peer (its read sees
+        // end of stream) and leaves a busy handler free to write its answer.
+        for slot in &self.shared.connections {
+            if let Some(stream) = crate::poison::lock(slot).as_ref() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
         // Unblock every handler parked in accept(): each wake-up connection
         // is accepted, recognized as a shutdown signal and dropped.
-        for _ in 0..self.handler_threads {
+        for _ in 0..self.shared.connections.len() {
             let _ = TcpStream::connect(self.addr);
         }
         // Halting the service ends the drain thread, which flags the
@@ -280,7 +300,9 @@ fn run_drain(shared: &ServerShared) {
 }
 
 /// One handler thread: accept, serve the connection to completion, repeat.
-fn run_handler(listener: &TcpListener, shared: &ServerShared) {
+/// `handler` indexes this thread's slot in [`ServerShared::connections`].
+fn run_handler(listener: &TcpListener, shared: &ServerShared, handler: usize) {
+    let slot = &shared.connections[handler];
     loop {
         if *crate::poison::lock(&shared.stop) {
             return;
@@ -288,8 +310,12 @@ fn run_handler(listener: &TcpListener, shared: &ServerShared) {
         let Ok((stream, _)) = listener.accept() else {
             continue;
         };
-        if *crate::poison::lock(&shared.stop) {
-            return; // the stream was a shutdown wake-up; drop it
+        {
+            let mut serving = crate::poison::lock(slot);
+            if *crate::poison::lock(&shared.stop) {
+                return; // a shutdown wake-up, or a peer racing shutdown; drop it
+            }
+            *serving = stream.try_clone().ok();
         }
         // Contain a panicking handler to its connection, exactly like the
         // service contains a panicking oracle to its session.
@@ -297,6 +323,7 @@ fn run_handler(listener: &TcpListener, shared: &ServerShared) {
             serve_connection(stream, shared)
         }));
         drop(result);
+        *crate::poison::lock(slot) = None;
     }
 }
 

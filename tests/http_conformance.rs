@@ -20,6 +20,9 @@
 //!    accounting.
 //! 5. **Cancellation** — held, live, terminal and unknown sessions all
 //!    answer `DELETE` with the documented status codes.
+//! 6. **Prompt shutdown** — `Server::shutdown` closes an idle keep-alive
+//!    connection instead of waiting out its read timeout, and still
+//!    answers a long-poll in flight, with `Connection: close`.
 
 use lynceus::core::{
     CostOracle, OptimizerSettings, PathEngine, SessionSpec, SessionStatus, TableOracle,
@@ -33,6 +36,7 @@ use lynceus::space::SpaceBuilder;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn valley_oracle(shift: f64) -> TableOracle {
     let space = SpaceBuilder::new()
@@ -53,6 +57,19 @@ fn settings(budget: f64, lookahead: usize) -> OptimizerSettings {
         gauss_hermite_nodes: 2,
         ..OptimizerSettings::default()
     }
+}
+
+/// The `admission.held` count of `GET /v1/stats`: sessions held and not
+/// yet flushed or cancelled.
+fn held_sessions(client: &mut Client) -> Option<u64> {
+    client
+        .get("/v1/stats")
+        .expect("stats fetch")
+        .json()
+        .expect("valid JSON")
+        .get("admission")
+        .and_then(|gate| gate.get("held"))
+        .and_then(|held| held.as_u64())
 }
 
 /// Oracle registry: `valley-<shift>` resolves server-side; nothing else
@@ -521,13 +538,15 @@ fn flush_forwards_held_sessions_bit_identically() {
     )
     .expect("server starts");
     let mut client = Client::connect(server.addr()).expect("client connects");
-    for spec in specs {
+    assert_eq!(held_sessions(&mut client), Some(0));
+    for (held, spec) in (1..).zip(specs) {
         let accepted = client
             .post("/v1/sessions", &wire::encode_spec(spec).to_json())
             .expect("submit succeeds");
         assert_eq!(accepted.status, 202);
         let body = accepted.json().expect("valid JSON");
         assert_eq!(body.get("state").and_then(|v| v.as_str()), Some("held"));
+        assert_eq!(held_sessions(&mut client), Some(held));
     }
     let flushed = client.post("/v1/flush", "").expect("flush succeeds");
     assert_eq!(flushed.status, 200);
@@ -539,6 +558,7 @@ fn flush_forwards_held_sessions_bit_identically() {
             .and_then(|v| v.as_u64()),
         Some(2)
     );
+    assert_eq!(held_sessions(&mut client), Some(0));
     for (id, reference) in references.iter().enumerate() {
         let status = client
             .get(&format!("/v1/sessions/{id}?wait=1"))
@@ -680,6 +700,7 @@ fn cancellation_covers_every_session_state() {
         .post("/v1/sessions", &wire::encode_spec(&spec).to_json())
         .expect("submit succeeds");
     assert_eq!(accepted.status, 202);
+    assert_eq!(held_sessions(&mut client), Some(1));
 
     // Unknown ids (including non-numeric ones) are 404.
     assert_eq!(
@@ -694,6 +715,7 @@ fn cancellation_covers_every_session_state() {
     // A held session cancels immediately and terminally.
     let cancelled = client.delete("/v1/sessions/0").expect("delete succeeds");
     assert_eq!(cancelled.status, 200);
+    assert_eq!(held_sessions(&mut client), Some(0));
     let status = client.get("/v1/sessions/0").expect("status fetch");
     let snapshot = status.json().expect("valid JSON");
     assert_eq!(
@@ -719,6 +741,7 @@ fn cancellation_covers_every_session_state() {
     );
     // A second cancel conflicts.
     assert_eq!(client.delete("/v1/sessions/0").expect("delete").status, 409);
+    assert_eq!(held_sessions(&mut client), Some(0));
 
     // A live session accepts the cancellation request (or reports the race
     // against its own completion as a conflict), and lands terminal either
@@ -728,8 +751,10 @@ fn cancellation_covers_every_session_state() {
         .post("/v1/sessions", &wire::encode_spec(&live).to_json())
         .expect("submit succeeds");
     assert_eq!(accepted.status, 202);
+    assert_eq!(held_sessions(&mut client), Some(1));
     let flushed = client.post("/v1/flush", "").expect("flush succeeds");
     assert_eq!(flushed.status, 200);
+    assert_eq!(held_sessions(&mut client), Some(0));
     let response = client.delete("/v1/sessions/1").expect("delete succeeds");
     assert!(
         matches!(response.status, 202 | 409),
@@ -759,5 +784,94 @@ fn cancellation_covers_every_session_state() {
     let gate = stats.json().expect("valid JSON");
     let gate = gate.get("admission").expect("admission block");
     assert_eq!(gate.get("live").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(gate.get("held").and_then(|v| v.as_u64()), Some(0));
     server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_an_idle_keep_alive_connection_promptly() {
+    let server = Server::start(
+        ServerConfig {
+            read_timeout_ms: 60_000,
+            ..ServerConfig::default()
+        },
+        factory(),
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    assert_eq!(client.get("/v1/stats").expect("stats fetch").status, 200);
+
+    // The connection is now idle and kept alive: its handler is blocked
+    // reading the next request, with a minute left on its read timeout.
+    // lint: allow(wall-clock) -- watchdog on shutdown's duration, so waiting out the read timeout fails the test; never feeds a decision
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(20),
+        "shutdown waited {took:?} for an idle keep-alive connection"
+    );
+    assert!(
+        client.get("/v1/stats").is_err(),
+        "the connection must be closed once the server has shut down"
+    );
+}
+
+#[test]
+fn shutdown_answers_a_long_poll_in_flight_then_closes() {
+    let server = Server::start(
+        ServerConfig {
+            hold_sessions: true,
+            read_timeout_ms: 60_000,
+            ..ServerConfig::default()
+        },
+        factory(),
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let spec = SpecRequest::new("parked", "valley-2", settings(300.0, 0), 3);
+    let accepted = client
+        .post("/v1/sessions", &wire::encode_spec(&spec).to_json())
+        .expect("submit succeeds");
+    assert_eq!(accepted.status, 202);
+
+    // One write pipelines a miss and a long-poll on the held session, which
+    // only the service's halt ends. Once the miss is answered, the handler
+    // has read both requests, so the long-poll is in flight when shutdown
+    // starts.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(
+            b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n\
+              GET /v1/sessions/0?wait=1 HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .expect("write");
+    let body = r#"{"v":1,"error":"no such resource"}"#;
+    let expected = format!(
+        "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    let mut not_found = vec![0; expected.len()];
+    stream.read_exact(&mut not_found).expect("read the miss");
+    assert_eq!(String::from_utf8_lossy(&not_found), expected);
+
+    server.shutdown();
+    let mut answer = Vec::new();
+    stream
+        .read_to_end(&mut answer)
+        .expect("read the long-poll's answer");
+    let body = r#"{"v":1,"id":0,"name":"parked","state":"held"}"#;
+    let expected = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    assert_eq!(String::from_utf8_lossy(&answer), expected);
+    assert!(
+        client.get("/v1/stats").is_err(),
+        "the idle keep-alive connection must be closed"
+    );
 }
